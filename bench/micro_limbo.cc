@@ -65,10 +65,11 @@
 //    the full fit, and zero responses mismatched after the reload. The
 //    same measurement is the "refit" section of BENCH_report.json.
 //  * `micro_limbo --schemes [--tuples=N]` measures the approximate
-//    acyclic-scheme miner (schemes::MineAcyclicSchemes over the streamed
+//    acyclic-scheme miner (schemes::MineAcyclicSchemes over the columnar
 //    entropy oracle) on the DB2 join sample and an N-tuple DBLP input:
 //    wall time at 1 and 4 oracle lanes, scheme count, J-measures, and
-//    oracle pass/prune statistics, one JSON line per dataset. Exit 0 iff
+//    oracle pass/prune statistics, one JSON line per dataset stamped
+//    with nproc, compiler, build type and git revision. Exit 0 iff
 //    both lane counts mine the identical scheme list on every dataset
 //    and DBLP yields at least one scheme. Its output is what
 //    BENCH_schemes.json records.
@@ -82,9 +83,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -1260,6 +1263,43 @@ int RunRefitBench(size_t tuples) {
   return (no_drift && speedup_ok && bit_identical) ? 0 : 1;
 }
 
+/// Host and build stamp for a ledger line, as JSON members without the
+/// braces: core count, compiler, CMake build type and the source
+/// checkout's revision (read with git at run time; "unknown" outside a
+/// checkout), so one ledger's lines compare across hosts and revisions.
+std::string LedgerStamp() {
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string revision;
+  if (FILE* git = ::popen("git -C '" LIMBO_SOURCE_DIR
+                          "' describe --always --dirty --abbrev=12 "
+                          "2>/dev/null",
+                          "r")) {
+    char line[128] = {};
+    if (std::fgets(line, sizeof(line), git) != nullptr) revision = line;
+    ::pclose(git);
+  }
+  while (!revision.empty() && std::isspace(static_cast<unsigned char>(
+                                  revision.back()))) {
+    revision.pop_back();
+  }
+  if (revision.empty()) revision = "unknown";
+  std::string out =
+      "\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+      ", \"compiler\": ";
+  util::AppendJsonString(compiler, &out);
+  out += ", \"build_type\": ";
+  util::AppendJsonString(LIMBO_BUILD_TYPE, &out);
+  out += ", \"git_revision\": ";
+  util::AppendJsonString(revision, &out);
+  return out;
+}
+
 /// Standalone `--schemes` mode: the approximate acyclic-scheme miner on
 /// the DB2 join sample and a DBLP-sized generator output. Each dataset
 /// is mined twice — oracle at 1 lane and at 4 — and the scheme lists
@@ -1283,6 +1323,7 @@ int RunSchemesBench(size_t tuples) {
     dblp_options.target_tuples = tuples;
     arms.push_back({"dblp", datagen::GenerateDblp(dblp_options)});
   }
+  const std::string stamp = LedgerStamp();
   bool ok = true;
   for (Arm& arm : arms) {
     schemes::MineOptions options;
@@ -1324,13 +1365,13 @@ int RunSchemesBench(size_t tuples) {
         "\"total_entropy\": %.4f, \"best_j\": %.6f, \"pairs_pruned\": %llu, "
         "\"pairs_evaluated\": %llu, \"oracle_sets\": %llu, "
         "\"seconds_1_lane\": %.4f, \"seconds_4_lanes\": %.4f, "
-        "\"lane_identical\": %s}\n",
+        "\"lane_identical\": %s, %s}\n",
         arm.name, arm.rel.NumTuples(), arm.rel.NumAttributes(),
         options.epsilon, count, total_entropy, min_j,
         static_cast<unsigned long long>(pairs_pruned),
         static_cast<unsigned long long>(pairs_evaluated),
         static_cast<unsigned long long>(oracle_sets), seconds[0], seconds[1],
-        lane_identical ? "true" : "false");
+        lane_identical ? "true" : "false", stamp.c_str());
     if (!lane_identical) {
       std::fprintf(stderr, "%s: scheme lists differ between 1 and 4 lanes\n",
                    arm.name);

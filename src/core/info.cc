@@ -20,20 +20,6 @@ double Entropy(std::span<const double> probabilities) {
   return h;
 }
 
-double EntropyOfCounts(std::span<const uint64_t> counts) {
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  if (total == 0) return 0.0;
-  double h = 0.0;
-  const double dt = static_cast<double>(total);
-  for (uint64_t c : counts) {
-    if (c == 0) continue;
-    const double p = static_cast<double>(c) / dt;
-    h -= p * Log2(p);
-  }
-  return h;
-}
-
 namespace {
 
 /// Dense accumulation of the marginal, O(total nnz + max id). The merge-

@@ -20,10 +20,6 @@ struct WeightedRows {
 /// Zero-probability entries contribute 0.
 double Entropy(std::span<const double> probabilities);
 
-/// Entropy (base 2) of the empirical distribution of `counts`
-/// (counts need not be normalized; zero counts contribute 0).
-double EntropyOfCounts(std::span<const uint64_t> counts);
-
 /// Marginal p(T) = sum_i w_i * p(T | object_i) of a weighted row set.
 SparseDistribution Marginal(const WeightedRows& data);
 

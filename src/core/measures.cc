@@ -4,10 +4,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/info.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "relation/ops.h"
+#include "relation/stats.h"
 
 namespace limbo::core {
 
@@ -64,8 +64,8 @@ double Rad(const relation::Relation& rel,
   if (n <= 1) return 1.0;
   LIMBO_OBS_SPAN(rad_span, "rad");
   LIMBO_OBS_COUNT("measures.rad_evals", 1);
-  const std::vector<uint64_t> counts = ProjectedCounts(rel, attributes);
-  const double h = EntropyOfCounts(counts);
+  const double h =
+      relation::EntropyFromCounts(ProjectedCounts(rel, attributes), n);
   return 1.0 - h / std::log2(static_cast<double>(n));
 }
 

@@ -16,6 +16,7 @@
 #include "fd/tane.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
+#include "relation/stats.h"
 #include "schemes/entropy_oracle.h"
 #include "util/strings.h"
 
@@ -63,7 +64,7 @@ util::Result<double> EntropyDrift(const ModelBundle& parent,
   double drift = 0.0;
   for (size_t a = 0; a < m; ++a) {
     const double parent_h =
-        schemes::EntropyFromCounts(std::move(counts[a]), parent.num_rows);
+        relation::EntropyFromCounts(std::move(counts[a]), parent.num_rows);
     drift = std::max(drift, std::fabs(absorbed_h[a] - parent_h));
   }
   return drift;

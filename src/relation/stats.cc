@@ -1,10 +1,46 @@
 #include "relation/stats.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/strings.h"
 
 namespace limbo::relation {
+
+double EntropyFromCounts(std::vector<uint64_t> counts, uint64_t total) {
+  if (total == 0) return 0.0;
+  // Sum c*log2(c) in ascending order of c. Small counts (the bulk of a
+  // near-key projection) are tallied instead of sorted: adding each
+  // one's term tally[c] times is the same sequence of additions a full
+  // sort would produce, so the sum is bit-identical to it.
+  constexpr uint64_t kSmall = 256;
+  std::array<uint64_t, kSmall> tally{};
+  size_t large = 0;
+  for (uint64_t c : counts) {
+    if (c < kSmall) {
+      ++tally[c];
+    } else {
+      counts[large++] = c;
+    }
+  }
+  counts.resize(large);
+  std::sort(counts.begin(), counts.end());
+  double sum_clog = 0.0;
+  for (uint64_t c = 1; c < kSmall; ++c) {
+    const double term =
+        static_cast<double>(c) * std::log2(static_cast<double>(c));
+    for (uint64_t i = 0; i < tally[c]; ++i) sum_clog += term;
+  }
+  for (uint64_t c : counts) {
+    sum_clog += static_cast<double>(c) * std::log2(static_cast<double>(c));
+  }
+  const double n = static_cast<double>(total);
+  double h = std::log2(n) - sum_clog / n;
+  // Clamp the tiny negative residue a one-group distribution can leave
+  // behind (log2(n) - n*log2(n)/n evaluated in floating point).
+  return h < 0.0 ? 0.0 : h;
+}
 
 RelationProfile Profile(const Relation& rel) {
   RelationProfile profile;
@@ -21,9 +57,12 @@ RelationProfile Profile(const Relation& rel) {
     col.name = rel.schema().Name(static_cast<AttributeId>(a));
   }
   // One pass over the dictionary: every value belongs to one attribute.
+  std::vector<std::vector<uint64_t>> supports(m);
   for (ValueId v = 0; v < rel.NumValues(); ++v) {
-    auto& col = profile.columns[rel.dictionary().Attribute(v)];
+    const AttributeId a = rel.dictionary().Attribute(v);
+    auto& col = profile.columns[a];
     const size_t support = rel.dictionary().Support(v);
+    supports[a].push_back(support);
     ++col.distinct_values;
     if (rel.dictionary().Text(v).empty()) col.null_count = support;
     if (support > col.top_count) {
@@ -32,12 +71,10 @@ RelationProfile Profile(const Relation& rel) {
                           ? std::string("⊥")
                           : rel.dictionary().Text(v);
     }
-    if (n > 0) {
-      const double p = static_cast<double>(support) / n;
-      col.entropy -= p * std::log2(p);
-    }
   }
-  for (auto& col : profile.columns) {
+  for (size_t a = 0; a < m; ++a) {
+    auto& col = profile.columns[a];
+    col.entropy = EntropyFromCounts(std::move(supports[a]), rel.NumTuples());
     col.null_fraction = n > 0 ? col.null_count / n : 0.0;
     col.is_key = rel.NumTuples() > 0 &&
                  col.distinct_values == rel.NumTuples();

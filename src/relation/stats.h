@@ -1,12 +1,22 @@
 #ifndef LIMBO_RELATION_STATS_H_
 #define LIMBO_RELATION_STATS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "relation/relation.h"
 
 namespace limbo::relation {
+
+/// Shannon entropy (base 2) of a multiset given its exact occurrence
+/// counts and total: H = log2(n) - (1/n) * sum c*log2(c). The terms are
+/// summed in ascending order of c, so the result is bit-identical no
+/// matter how the counts were produced or ordered — the determinism
+/// anchor for every lane-parallel entropy in the library. This is the
+/// library's one count-to-entropy function. Zero counts are ignored; no
+/// counts, or a zero total, give 0.
+double EntropyFromCounts(std::vector<uint64_t> counts, uint64_t total);
 
 /// Per-attribute profile, in the spirit of the data-quality browsers
 /// (Bellman, Potter's Wheel) the paper positions itself against.

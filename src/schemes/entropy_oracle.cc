@@ -1,38 +1,44 @@
 #include "schemes/entropy_oracle.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <atomic>
+#include <bit>
 #include <string>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
+#include "relation/stats.h"
 #include "util/status.h"
 
 namespace limbo::schemes {
 
-double EntropyFromCounts(std::vector<uint64_t> counts, uint64_t total) {
-  if (total == 0) return 0.0;
-  std::sort(counts.begin(), counts.end());
-  double sum_clog = 0.0;
-  for (uint64_t c : counts) {
-    if (c == 0) continue;
-    sum_clog += static_cast<double>(c) * std::log2(static_cast<double>(c));
-  }
-  const double n = static_cast<double>(total);
-  double h = std::log2(n) - sum_clog / n;
-  // Clamp the tiny negative residue a one-group distribution can leave
-  // behind (log2(n) - n*log2(n)/n evaluated in floating point).
-  return h < 0.0 ? 0.0 : h;
-}
+namespace {
+
+/// Row bound of the load: keeps every table slot, group id and count in
+/// 32 bits (a bucket table holds at most 2n slots).
+constexpr uint64_t kMaxRows = uint64_t{1} << 31;
+
+/// Rows per hash bucket that Group aims for, and the most bucket bits it
+/// uses. A bucket of 1024 rows is counted in a table of at most 2048
+/// 16-byte slots (32 KiB), which stays in the lane's L1/L2 cache.
+constexpr uint64_t kBucketRows = 1024;
+constexpr int kMaxBucketBits = 12;
+
+/// Rows packed per step of a pass over the columns (an 8 KiB key block).
+constexpr size_t kBlockRows = 1024;
+
+uint64_t Hash(uint64_t key) { return key * 0x9E3779B97F4A7C15ull; }
+
+}  // namespace
 
 EntropyOracle::EntropyOracle(relation::RowSource& source,
                              const EntropyOracleOptions& options)
     : source_(&source),
       options_(options),
       pool_(options.threads),
-      num_attributes_(source.schema().NumAttributes()) {
-  if (options_.chunk_rows == 0) options_.chunk_rows = 4096;
+      num_attributes_(source.schema().NumAttributes()),
+      scratch_(pool_.threads()) {
+  for (Scratch& scratch : scratch_) scratch.block.resize(kBlockRows);
 }
 
 util::Result<double> EntropyOracle::H(fd::AttributeSet x) {
@@ -45,7 +51,7 @@ util::Result<std::vector<double>> EntropyOracle::HBatch(
     const std::vector<fd::AttributeSet>& sets) {
   std::vector<double> out(sets.size(), 0.0);
   // Resolve the memo (and the trivial empty set) first; collect the
-  // distinct remainder for one counting pass.
+  // distinct remainder for counting.
   std::vector<fd::AttributeSet> missing;
   std::unordered_map<uint64_t, size_t> missing_index;
   std::vector<size_t> slot_of(sets.size(), SIZE_MAX);
@@ -64,119 +70,205 @@ util::Result<std::vector<double>> EntropyOracle::HBatch(
       slot_of[i] = it->second;
     }
   }
-  if (!missing.empty()) {
-    std::vector<double> fresh(missing.size(), 0.0);
-    // Bound peak memory: at most max_sets_per_pass private counting maps
-    // live at once, at the price of extra streams over the source.
-    const size_t stride = options_.max_sets_per_pass == 0
-                              ? missing.size()
-                              : options_.max_sets_per_pass;
-    for (size_t lo = 0; lo < missing.size(); lo += stride) {
-      const size_t n = std::min(stride, missing.size() - lo);
-      util::Status st = CountPass(missing.data() + lo, n, fresh.data() + lo);
-      if (!st.ok()) return st;
+  if (missing.empty()) return out;
+
+  const fd::AttributeSet schema = fd::AttributeSet::Full(num_attributes_);
+  for (fd::AttributeSet x : missing) {
+    if (!x.IsSubsetOf(schema)) {
+      return util::Status::InvalidArgument(
+          "entropy oracle: attribute set outside the source schema");
     }
-    for (size_t s = 0; s < missing.size(); ++s) MemoPut(missing[s], fresh[s]);
-    for (size_t i = 0; i < sets.size(); ++i) {
-      if (slot_of[i] != SIZE_MAX) out[i] = fresh[slot_of[i]];
-    }
+  }
+  if (!loaded_) LIMBO_RETURN_IF_ERROR(Load());
+
+  std::vector<double> fresh(missing.size(), 0.0);
+  if (num_rows_ > 0) {
+    LIMBO_OBS_SPAN(span, "schemes.oracle.count");
+    // One task per lane; each lane claims the next uncounted set and
+    // counts it whole in its own scratch, so a lane the host slows down
+    // takes fewer sets instead of holding up the batch. A set's counts
+    // multiset does not depend on the lane that counts it.
+    std::atomic<size_t> next{0};
+    pool_.ParallelFor(0, pool_.threads(), /*grain=*/1,
+                      [&](size_t, size_t, size_t lane) {
+                        for (size_t s = next++; s < missing.size();
+                             s = next++) {
+                          fresh[s] = Count(missing[s], &scratch_[lane]);
+                        }
+                      });
+  }
+  stats_.sets_counted += missing.size();
+  LIMBO_OBS_COUNT("schemes.oracle.sets_counted", missing.size());
+  for (size_t s = 0; s < missing.size(); ++s) MemoPut(missing[s], fresh[s]);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    if (slot_of[i] != SIZE_MAX) out[i] = fresh[slot_of[i]];
   }
   return out;
 }
 
-util::Status EntropyOracle::CountPass(const fd::AttributeSet* sets,
-                                      size_t num_sets, double* entropies) {
-  LIMBO_OBS_SPAN(span, "schemes.oracle.pass");
-  util::Status reset = source_->Reset();
-  if (!reset.ok()) return reset;
-
-  // Attribute lists resolved once (ascending ids — the canonical key
-  // order) plus a per-set private counting map. Each map is written only
-  // by the lane that owns set s (ParallelFor grain 1 → chunk s → lane
-  // s % threads), so the pass is race-free and, because the counts are
-  // exact integers folded through EntropyFromCounts, bit-identical at
-  // every lane count.
-  std::vector<std::vector<relation::AttributeId>> attrs(num_sets);
-  for (size_t s = 0; s < num_sets; ++s) {
-    if (!sets[s].IsSubsetOf(fd::AttributeSet::Full(num_attributes_))) {
-      return util::Status::InvalidArgument(
-          "entropy oracle: attribute set outside the source schema");
-    }
-    attrs[s] = sets[s].ToList();
-  }
-  std::vector<std::unordered_map<std::string, uint64_t>> counts(num_sets);
-
-  // Chunked streaming: buffer up to chunk_rows rows of interned value
-  // ids, then fan the counting of that buffer out over the sets.
+util::Status EntropyOracle::Load() {
+  LIMBO_OBS_SPAN(span, "schemes.oracle.load");
+  LIMBO_RETURN_IF_ERROR(source_->Reset());
   const size_t m = num_attributes_;
-  std::vector<relation::ValueId> buffer;  // row-major, m ids per row
-  buffer.reserve(options_.chunk_rows * m);
+  std::vector<std::vector<uint32_t>> columns(m);
+  std::vector<std::unordered_map<std::string, uint32_t>> codes(m);
   std::vector<std::string> fields;
   uint64_t rows = 0;
-
-  auto flush = [&]() {
-    const size_t chunk_rows = buffer.size() / m;
-    if (chunk_rows == 0) return;
-    pool_.ParallelFor(0, num_sets, /*grain=*/1,
-                      [&](size_t lo, size_t hi) {
-                        for (size_t s = lo; s < hi; ++s) {
-                          auto& map = counts[s];
-                          const auto& ids = attrs[s];
-                          std::string key;
-                          key.reserve(ids.size() * sizeof(relation::ValueId));
-                          for (size_t r = 0; r < chunk_rows; ++r) {
-                            const relation::ValueId* row =
-                                buffer.data() + r * m;
-                            key.clear();
-                            for (relation::AttributeId a : ids) {
-                              const relation::ValueId v = row[a];
-                              key.append(
-                                  reinterpret_cast<const char*>(&v),
-                                  sizeof(v));
-                            }
-                            ++map[key];
-                          }
-                        }
-                      });
-    buffer.clear();
-  };
-
   while (true) {
-    util::Result<bool> more = source_->Next(&fields);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
+    LIMBO_ASSIGN_OR_RETURN(const bool more, source_->Next(&fields));
+    if (!more) break;
     if (fields.size() != m) {
       return util::Status::InvalidArgument(
           "entropy oracle: row width does not match the schema");
     }
+    if (rows == kMaxRows) {
+      return util::Status::OutOfRange(
+          "entropy oracle: more than 2^31 rows");
+    }
     for (size_t a = 0; a < m; ++a) {
-      buffer.push_back(dictionary_.InternOccurrence(
-          static_cast<relation::AttributeId>(a), fields[a]));
+      const auto [it, inserted] = codes[a].try_emplace(
+          fields[a], static_cast<uint32_t>(codes[a].size()));
+      columns[a].push_back(it->second);
     }
     ++rows;
-    if (buffer.size() >= options_.chunk_rows * m) flush();
   }
-  flush();
-
+  columns_ = std::move(columns);
+  domain_.resize(m);
+  for (size_t a = 0; a < m; ++a) domain_[a] = codes[a].size();
   num_rows_ = rows;
+  bucket_bits_ = std::clamp(
+      static_cast<int>(std::bit_width((rows + kBucketRows - 1) / kBucketRows)),
+      1, kMaxBucketBits);
+  buckets_ = size_t{1} << bucket_bits_;
+  loaded_ = true;
   ++stats_.passes;
   stats_.rows_read += rows;
-  stats_.sets_counted += num_sets;
   LIMBO_OBS_COUNT("schemes.oracle.passes", 1);
   LIMBO_OBS_COUNT("schemes.oracle.rows_read", rows);
-  LIMBO_OBS_COUNT("schemes.oracle.sets_counted", num_sets);
-
-  for (size_t s = 0; s < num_sets; ++s) {
-    // Move the map out so its memory is released as soon as the entropy
-    // is folded, not when the whole pass unwinds.
-    const std::unordered_map<std::string, uint64_t> map =
-        std::move(counts[s]);
-    std::vector<uint64_t> c;
-    c.reserve(map.size());
-    for (const auto& [key, n] : map) c.push_back(n);
-    entropies[s] = EntropyFromCounts(std::move(c), rows);
-  }
   return util::Status::Ok();
+}
+
+double EntropyOracle::Count(fd::AttributeSet x, Scratch* scratch) const {
+  // Mixed-radix packing in ascending attribute order: a key is the lead
+  // digit (the first column, or group ids after a relabel) followed by
+  // the digits of attrs[first, i); `radix` is an exclusive bound on it.
+  const std::vector<relation::AttributeId> attrs = x.ToList();
+  const uint32_t* lead = columns_[attrs[0]].data();
+  uint64_t radix = domain_[attrs[0]];
+  size_t first = 1;
+  for (size_t i = 1; i < attrs.size(); ++i) {
+    const uint64_t d = domain_[attrs[i]];
+    if (radix > UINT64_MAX / d) {
+      radix = Group(lead, {attrs.data() + first, attrs.data() + i}, radix,
+                    /*relabel=*/true, scratch);
+      lead = scratch->ids.data();
+      first = i;
+    }
+    radix *= d;
+  }
+  scratch->counts.clear();
+  Group(lead, {attrs.data() + first, attrs.data() + attrs.size()}, radix,
+        /*relabel=*/false, scratch);
+  return relation::EntropyFromCounts(scratch->counts, num_rows_);
+}
+
+void EntropyOracle::Pack(const uint32_t* lead,
+                         std::span<const relation::AttributeId> digits,
+                         size_t lo, size_t hi, uint64_t* keys) const {
+  for (size_t r = lo; r < hi; ++r) keys[r - lo] = lead[r];
+  for (relation::AttributeId a : digits) {
+    const uint32_t* column = columns_[a].data();
+    const uint64_t d = domain_[a];
+    for (size_t r = lo; r < hi; ++r) {
+      keys[r - lo] = keys[r - lo] * d + column[r];
+    }
+  }
+}
+
+uint64_t EntropyOracle::Group(const uint32_t* lead,
+                              std::span<const relation::AttributeId> digits,
+                              uint64_t radix, bool relabel,
+                              Scratch* scratch) const {
+  const size_t n = num_rows_;
+  const int shift_bucket = 64 - bucket_bits_;
+  uint64_t* block = scratch->block.data();
+  // Pass 1: bucket sizes, then each bucket's start in the partition. The
+  // keys are packed a block at a time, here and in pass 2, so no n-sized
+  // key array is written.
+  std::vector<uint32_t>& start = scratch->bucket_start;
+  start.assign(buckets_ + 1, 0);
+  for (size_t lo = 0; lo < n; lo += kBlockRows) {
+    const size_t hi = std::min<size_t>(n, lo + kBlockRows);
+    Pack(lead, digits, lo, hi, block);
+    for (size_t t = 0; t < hi - lo; ++t) {
+      ++start[(Hash(block[t]) >> shift_bucket) + 1];
+    }
+  }
+  uint32_t sum = 0;
+  for (uint32_t& at : start) {
+    const uint32_t size = at;
+    at = sum;
+    sum += size;
+  }
+  // Pass 2: scatter the keys (and, to relabel, their rows) by bucket.
+  // start[b + 1] is bucket b's write cursor: it begins where bucket b
+  // begins and ends where it ends.
+  scratch->part_keys.resize(n);
+  if (relabel) scratch->part_rows.resize(n);
+  for (size_t lo = 0; lo < n; lo += kBlockRows) {
+    const size_t hi = std::min<size_t>(n, lo + kBlockRows);
+    Pack(lead, digits, lo, hi, block);
+    for (size_t t = 0; t < hi - lo; ++t) {
+      const uint32_t at = start[(Hash(block[t]) >> shift_bucket) + 1]++;
+      scratch->part_keys[at] = block[t];
+      if (relabel) scratch->part_rows[at] = static_cast<uint32_t>(lo + t);
+    }
+  }
+  // Pass 3: each bucket through a table sized for its own rows, and for
+  // no more distinct keys than `radix` allows. Slots are chosen by the
+  // hash bits below the bucket bits; `value` 0 marks an empty slot. A
+  // relabel overwrites `ids` only now, after `lead` (which may be `ids`)
+  // has been read in full.
+  if (relabel) scratch->ids.resize(n);
+  uint64_t groups = 0;
+  std::vector<Slot>& table = scratch->table;
+  std::vector<uint32_t>& used = scratch->used;
+  for (size_t b = 0; b < buckets_; ++b) {
+    const uint32_t lo = start[b];
+    const uint32_t hi = start[b + 1];
+    if (lo == hi) continue;
+    const size_t capacity =
+        std::bit_ceil(2 * std::min<uint64_t>(hi - lo, radix));
+    if (table.size() < capacity) table.resize(capacity);
+    const size_t mask = capacity - 1;
+    const int shift = 64 - std::countr_zero(capacity);
+    for (uint32_t at = lo; at < hi; ++at) {
+      const uint64_t key = scratch->part_keys[at];
+      size_t slot = (Hash(key) << bucket_bits_) >> shift;
+      while (table[slot].value != 0 && table[slot].key != key) {
+        slot = (slot + 1) & mask;
+      }
+      Slot& s = table[slot];
+      if (s.value == 0) {
+        s.key = key;
+        used.push_back(static_cast<uint32_t>(slot));
+        // A relabel stores the group id + 1; a count starts at 0.
+        s.value = relabel ? static_cast<uint32_t>(++groups) : 0;
+      }
+      if (relabel) {
+        scratch->ids[scratch->part_rows[at]] = s.value - 1;
+      } else {
+        ++s.value;
+      }
+    }
+    for (uint32_t slot : used) {
+      if (!relabel) scratch->counts.push_back(table[slot].value);
+      table[slot].value = 0;
+    }
+    if (!relabel) groups += used.size();
+    used.clear();
+  }
+  return groups;
 }
 
 void EntropyOracle::MemoPut(fd::AttributeSet x, double h) {

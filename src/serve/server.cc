@@ -132,7 +132,7 @@ void Server::AcceptOne() {
 }
 
 void Server::EnqueueLines(Conn* conn, std::vector<std::string> lines,
-                          bool eof) {
+                          bool eof, bool too_long) {
   std::lock_guard<std::mutex> lock(mu_);
   for (std::string& line : lines) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -141,6 +141,7 @@ void Server::EnqueueLines(Conn* conn, std::vector<std::string> lines,
     ++pending_requests_;
   }
   if (eof) conn->eof = true;
+  if (too_long) conn->too_long = true;
   if (!conn->claimed && !conn->ready && !conn->lines.empty()) {
     conn->ready = true;
     ready_.push_back(conn);
@@ -183,7 +184,24 @@ void Server::ReadConn(Conn* conn) {
     }
     conn->inbuf.erase(0, start);
   }
-  if (eof || !framed.empty()) EnqueueLines(conn, std::move(framed), eof);
+  // A line past kMaxLineBytes — framed whole in this read, or still open
+  // in inbuf — ends the connection: the lines before it are answered,
+  // the rest of the input is never read.
+  bool too_long = conn->inbuf.size() > kMaxLineBytes;
+  for (size_t i = 0; i < framed.size(); ++i) {
+    if (framed[i].size() > kMaxLineBytes) {
+      framed.resize(i);
+      too_long = true;
+      break;
+    }
+  }
+  if (too_long) {
+    eof = true;
+    std::string().swap(conn->inbuf);
+  }
+  if (eof || !framed.empty()) {
+    EnqueueLines(conn, std::move(framed), eof, too_long);
+  }
 }
 
 void Server::CollectFinished() {
@@ -203,7 +221,18 @@ void Server::CollectFinished() {
   }
   // Closing outside the lock: the fd cannot be recycled into a stale
   // pollfd because only this thread accepts, after this call returns.
-  for (const std::unique_ptr<Conn>& c : finished) ::close(c->fd);
+  for (const std::unique_ptr<Conn>& c : finished) {
+    if (c->too_long && !c->dead) {
+      const std::string response =
+          ErrorResponse("line_too_long",
+                        "request line exceeds " +
+                            std::to_string(kMaxLineBytes) +
+                            " bytes; closing the connection") +
+          "\n";
+      (void)SendAll(c->fd, response.data(), response.size());
+    }
+    ::close(c->fd);
+  }
 }
 
 void Server::Run(const std::atomic<int>* stop, std::atomic<int>* reload) {

@@ -65,13 +65,20 @@ struct ServerOptions {
 ///  - recv/send/accept/poll retry on EINTR, so signals (e.g. SIGHUP for
 ///    hot reload) never spuriously drop a connection;
 ///  - a final query sent without a trailing newline before the peer
-///    shuts down its write side is still answered, matching --once.
+///    shuts down its write side is still answered, matching --once;
+///  - a request line longer than kMaxLineBytes is never buffered: the
+///    connection gets {"ok":false,"code":"line_too_long",...} after the
+///    responses to its earlier lines and is closed, so a client that
+///    never sends a newline cannot grow the daemon's memory.
 ///
 /// Hot reload happens through the registry ({"op":"reload"} or the
 /// reload flag passed to Run): queries in flight finish on the engine
 /// snapshot they grabbed; new queries see the new engine.
 class Server {
  public:
+  /// Longest request line (newline excluded) a connection may send.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   /// Binds 127.0.0.1:port, starts listening and spawns the worker
   /// lanes. The listener is live when Start returns (port() is
   /// resolved); call Run to start accepting.
@@ -122,6 +129,7 @@ class Server {
     std::deque<std::string> lines;   // framed, unanswered requests
     bool eof = false;                // peer finished sending
     bool dead = false;               // transport error; discard & close
+    bool too_long = false;           // sent a line past kMaxLineBytes
     bool claimed = false;            // a worker owns its queued lines
     bool ready = false;              // sitting in ready_
   };
@@ -138,12 +146,16 @@ class Server {
   /// wakes a worker when the connection became ready.
   void ReadConn(Conn* conn);
   /// Closes and erases connections that are finished (eof or dead, not
-  /// claimed, nothing left to answer). Reactor thread only.
+  /// claimed, nothing left to answer), first sending the line_too_long
+  /// error to a connection that overran kMaxLineBytes. Reactor thread
+  /// only.
   void CollectFinished();
   /// Appends `line` (already stripped of the trailing newline) to the
   /// connection's queue under mu_; empty lines are dropped without a
-  /// response, matching --once on blank stdin lines.
-  void EnqueueLines(Conn* conn, std::vector<std::string> lines, bool eof);
+  /// response, matching --once on blank stdin lines. `too_long` marks
+  /// the connection as overrun (it implies eof).
+  void EnqueueLines(Conn* conn, std::vector<std::string> lines, bool eof,
+                    bool too_long);
 
   Registry* registry_;
   ServerOptions options_;

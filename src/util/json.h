@@ -1,6 +1,7 @@
 #ifndef LIMBO_UTIL_JSON_H_
 #define LIMBO_UTIL_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -42,8 +43,16 @@ struct JsonValue {
   }
 };
 
+/// Deepest array/object nesting ParseJson accepts. The parser recurses
+/// once per level, so without a bound one line of '[' characters from a
+/// client would exhaust the stack; every document the library itself
+/// writes nests a handful of levels.
+inline constexpr size_t kMaxJsonDepth = 64;
+
 /// Parses one complete JSON document. Trailing non-whitespace after the
-/// value is an error (NDJSON framing splits lines before parsing).
+/// value is an error (NDJSON framing splits lines before parsing), and so
+/// is nesting deeper than kMaxJsonDepth — that one with code kOutOfRange,
+/// every other malformed document with kInvalidArgument.
 util::Result<JsonValue> ParseJson(const std::string& text);
 
 /// Appends `s` as a quoted JSON string literal (with escaping) to `out`.

@@ -16,18 +16,6 @@ TEST(EntropyTest, KnownValues) {
   EXPECT_NEAR(Entropy(probs_half), 1.0, 1e-12);
 }
 
-TEST(EntropyOfCountsTest, MatchesNormalizedEntropy) {
-  const uint64_t counts[] = {3, 1, 0, 4};
-  const double probs[] = {3.0 / 8, 1.0 / 8, 0.0, 4.0 / 8};
-  EXPECT_NEAR(EntropyOfCounts(counts), Entropy(probs), 1e-12);
-}
-
-TEST(EntropyOfCountsTest, EmptyAndZero) {
-  EXPECT_DOUBLE_EQ(EntropyOfCounts({}), 0.0);
-  const uint64_t zeros[] = {0, 0};
-  EXPECT_DOUBLE_EQ(EntropyOfCounts(zeros), 0.0);
-}
-
 WeightedRows TwoByTwo() {
   // Two equiprobable objects with disjoint conditionals over {0,1}:
   // I(O;T) = 1 bit.

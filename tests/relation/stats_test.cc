@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "testing/make_relation.h"
 
@@ -10,6 +12,36 @@ namespace limbo::relation {
 namespace {
 
 using limbo::testing::MakeRelation;
+
+TEST(EntropyFromCounts, KnownValues) {
+  // Uniform over 4 -> 2 bits; a point mass -> 0; empty -> 0.
+  EXPECT_DOUBLE_EQ(EntropyFromCounts({1, 1, 1, 1}, 4), 2.0);
+  EXPECT_DOUBLE_EQ(EntropyFromCounts({5}, 5), 0.0);
+  EXPECT_DOUBLE_EQ(EntropyFromCounts({}, 0), 0.0);
+  // {2,1,1} over 4: log2(4) - (2*1)/4 = 1.5.
+  EXPECT_DOUBLE_EQ(EntropyFromCounts({2, 1, 1}, 4), 1.5);
+}
+
+TEST(EntropyFromCounts, OrderIndependent) {
+  const std::vector<uint64_t> counts = {7, 1, 3, 9, 2, 2, 5};
+  std::vector<uint64_t> reversed(counts.rbegin(), counts.rend());
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
+  EXPECT_EQ(EntropyFromCounts(counts, total),
+            EntropyFromCounts(reversed, total));
+}
+
+TEST(EntropyFromCounts, MatchesNormalizedEntropy) {
+  // {3,1,0,4} over 8: -sum p log2 p with the zero count contributing 0.
+  double h = 0.0;
+  for (double p : {3.0 / 8, 1.0 / 8, 4.0 / 8}) h -= p * std::log2(p);
+  EXPECT_NEAR(EntropyFromCounts({3, 1, 0, 4}, 8), h, 1e-12);
+}
+
+TEST(EntropyFromCounts, EmptyAndZero) {
+  EXPECT_DOUBLE_EQ(EntropyFromCounts({}, 0), 0.0);
+  EXPECT_DOUBLE_EQ(EntropyFromCounts({0, 0}, 0), 0.0);
+}
 
 TEST(ProfileTest, BasicShape) {
   const auto rel = MakeRelation({"A", "B"}, {{"x", "1"}, {"y", "2"}});

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -53,24 +55,6 @@ relation::Relation RandomRelation(size_t rows, size_t m, size_t width,
     data.push_back(std::move(row));
   }
   return limbo::testing::MakeRelation(std::move(header), data);
-}
-
-TEST(EntropyFromCounts, KnownValues) {
-  // Uniform over 4 -> 2 bits; a point mass -> 0; empty -> 0.
-  EXPECT_DOUBLE_EQ(EntropyFromCounts({1, 1, 1, 1}, 4), 2.0);
-  EXPECT_DOUBLE_EQ(EntropyFromCounts({5}, 5), 0.0);
-  EXPECT_DOUBLE_EQ(EntropyFromCounts({}, 0), 0.0);
-  // {2,1,1} over 4: log2(4) - (2*1)/4 = 1.5.
-  EXPECT_DOUBLE_EQ(EntropyFromCounts({2, 1, 1}, 4), 1.5);
-}
-
-TEST(EntropyFromCounts, OrderIndependent) {
-  const std::vector<uint64_t> counts = {7, 1, 3, 9, 2, 2, 5};
-  std::vector<uint64_t> reversed(counts.rbegin(), counts.rend());
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  EXPECT_EQ(EntropyFromCounts(counts, total),
-            EntropyFromCounts(reversed, total));
 }
 
 TEST(EntropyOracle, MatchesBruteForceOnPaperExample) {
@@ -178,34 +162,127 @@ TEST(EntropyOracle, BitIdenticalAcrossLaneCounts) {
   }
 }
 
-TEST(EntropyOracle, SubBatchingBoundsLiveMapsAndKeepsResultsExact) {
-  // max_sets_per_pass trades extra streams over the source for a bound
-  // on simultaneously live counting maps; every entropy is folded from
-  // the same exact counts, so the split is invisible in the results.
+TEST(EntropyOracle, BatchSplitInvariance) {
+  // However the queries are batched, every entropy is folded from the
+  // same exact counts: one HBatch of all 31 sets is bit-equal to 31
+  // single H() calls.
   const relation::Relation rel = RandomRelation(200, 5, 3, 9);
   std::vector<AttributeSet> sets;
   for (uint64_t bits = 1; bits < 32; ++bits) sets.push_back(AttributeSet(bits));
-  std::vector<double> reference;
-  {
-    relation::RelationRowSource source(rel);
-    EntropyOracleOptions options;
-    options.max_sets_per_pass = 0;  // unlimited: the whole batch, one pass
-    EntropyOracle oracle(source, options);
-    auto hs = oracle.HBatch(sets);
-    ASSERT_TRUE(hs.ok());
-    reference = *hs;
-    EXPECT_EQ(oracle.stats().passes, 1u);
-  }
-  relation::RelationRowSource source(rel);
-  EntropyOracleOptions options;
-  options.max_sets_per_pass = 4;
-  EntropyOracle oracle(source, options);
-  auto hs = oracle.HBatch(sets);
+  relation::RelationRowSource batch_source(rel);
+  EntropyOracle batched(batch_source);
+  auto hs = batched.HBatch(sets);
   ASSERT_TRUE(hs.ok());
-  EXPECT_EQ(oracle.stats().passes, 8u);  // ceil(31 / 4)
+  relation::RelationRowSource single_source(rel);
+  EntropyOracle single(single_source);
   for (size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_EQ((*hs)[i], reference[i]) << "set " << sets[i].bits();
+    auto h = single.H(sets[i]);
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(*h, (*hs)[i]) << "set " << sets[i].bits();
   }
+  EXPECT_EQ(single.stats().sets_counted, 31u);
+}
+
+TEST(EntropyOracle, RelabelsKeysWhenTheDomainProductOverflows) {
+  // Attributes of ~2000 distinct values each (about 11 bits): packing a
+  // set of 6+ attributes has to relabel its partial keys to dense group
+  // ids (< 4500, about 12 bits) mid-way, and a set of 11+ attributes
+  // overflows again after the relabel, so the second relabel reads the
+  // group ids it rewrites. A third of the rows copy an earlier row (half
+  // of them with one attribute redrawn), so the wide projections keep
+  // real multiplicities rather than all-distinct rows. 4500 rows span
+  // several hash buckets.
+  constexpr size_t kWidth = 3000;
+  struct Case {
+    size_t attrs;
+    int min_set_size;
+    double min_log2_product;  // bits the domain product must exceed
+  };
+  for (const Case c : {Case{8, 6, 64.0}, Case{12, 11, 128.0}}) {
+    util::Random rng(2026);
+    std::vector<std::string> header;
+    for (size_t a = 0; a < c.attrs; ++a) {
+      header.push_back("A" + std::to_string(a));
+    }
+    std::vector<std::vector<std::string>> data;
+    for (size_t t = 0; t < 3000; ++t) {
+      std::vector<std::string> row;
+      for (size_t a = 0; a < c.attrs; ++a) {
+        row.push_back("v" + std::to_string(rng.Uniform(kWidth)));
+      }
+      data.push_back(std::move(row));
+    }
+    for (size_t t = 0; t < 1500; ++t) {
+      std::vector<std::string> row = data[rng.Uniform(data.size())];
+      if (t % 2 == 0) {
+        row[rng.Uniform(c.attrs)] = "v" + std::to_string(rng.Uniform(kWidth));
+      }
+      data.push_back(std::move(row));
+    }
+    const relation::Relation rel =
+        limbo::testing::MakeRelation(std::move(header), data);
+    double log2_product = 0.0;
+    for (size_t a = 0; a < c.attrs; ++a) {
+      std::set<std::string> distinct;
+      for (relation::TupleId t = 0; t < rel.NumTuples(); ++t) {
+        distinct.insert(rel.TextAt(t, static_cast<relation::AttributeId>(a)));
+      }
+      log2_product += std::log2(static_cast<double>(distinct.size()));
+    }
+    ASSERT_GT(log2_product, c.min_log2_product);
+
+    std::vector<AttributeSet> sets;
+    for (uint64_t bits = 1; bits < (uint64_t{1} << c.attrs); ++bits) {
+      if (std::popcount(bits) >= c.min_set_size) {
+        sets.push_back(AttributeSet(bits));
+      }
+    }
+    for (size_t threads : {1u, 4u}) {
+      relation::RelationRowSource source(rel);
+      EntropyOracleOptions options;
+      options.threads = threads;
+      EntropyOracle oracle(source, options);
+      auto hs = oracle.HBatch(sets);
+      ASSERT_TRUE(hs.ok()) << hs.status().ToString();
+      for (size_t i = 0; i < sets.size(); ++i) {
+        EXPECT_NEAR((*hs)[i], BruteForceEntropy(rel, sets[i]), 1e-9)
+            << "set " << sets[i].bits() << " at " << threads << " lanes";
+      }
+    }
+  }
+}
+
+TEST(EntropyOracle, ZeroRowSourceHasZeroEntropy) {
+  auto source = relation::CsvStringSource::Open("A,B,C\n");
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EntropyOracle oracle(*source);
+  auto hs = oracle.HBatch({AttributeSet::Single(0), AttributeSet(0b101),
+                           AttributeSet::Full(3)});
+  ASSERT_TRUE(hs.ok()) << hs.status().ToString();
+  for (double h : *hs) EXPECT_EQ(h, 0.0);
+  EXPECT_EQ(oracle.num_rows(), 0u);
+  EXPECT_EQ(oracle.stats().passes, 1u);
+  EXPECT_EQ(oracle.stats().sets_counted, 3u);
+}
+
+TEST(EntropyOracle, LoadsTheSourceExactlyOnce) {
+  const relation::Relation rel = RandomRelation(300, 5, 4, 13);
+  relation::RelationRowSource source(rel);
+  EntropyOracle oracle(source);
+  // Nothing counted yet: the empty set and the memo never touch rows.
+  ASSERT_TRUE(oracle.H(AttributeSet()).ok());
+  EXPECT_EQ(oracle.stats().passes, 0u);
+  EXPECT_EQ(oracle.num_rows(), 0u);
+  std::vector<AttributeSet> sets;
+  for (uint64_t bits = 1; bits < 32; ++bits) {
+    sets.push_back(AttributeSet(bits));
+    ASSERT_TRUE(oracle.HBatch(sets).ok());
+  }
+  ASSERT_TRUE(oracle.H(AttributeSet::Full(5)).ok());
+  EXPECT_EQ(oracle.stats().passes, 1u);
+  EXPECT_EQ(oracle.stats().rows_read, 300u);
+  EXPECT_EQ(oracle.num_rows(), 300u);
+  EXPECT_EQ(oracle.stats().sets_counted, 31u);
 }
 
 TEST(EntropyOracle, MemoAbsorbsRepeatQueries) {

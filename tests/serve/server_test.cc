@@ -291,6 +291,56 @@ TEST_F(ServerTest, FinalLineWithoutNewlineIsAnswered) {
   EXPECT_NE(response.find("\"clusters\":2"), std::string::npos) << response;
 }
 
+// Regression: a client that never sends a newline used to grow the
+// connection's buffer without bound. Past kMaxLineBytes the connection
+// is answered with the typed line_too_long error — after the responses
+// to its earlier lines — and closed; the daemon keeps serving.
+TEST_F(ServerTest, LineTooLongIsAnsweredAndClosed) {
+  StartServer();
+  const std::string unterminated(Server::kMaxLineBytes + 1, 'x');
+  const std::string terminated =
+      std::string(Server::kMaxLineBytes + 100, '[') + "\n{\"op\":\"info\"}\n";
+  for (const std::string* overrun : {&unterminated, &terminated}) {
+    TestClient client;
+    ASSERT_TRUE(client.Connect(port()));
+    std::string response;
+    ASSERT_TRUE(client.SendLine("{\"op\":\"info\"}"));
+    (void)client.Send(*overrun);  // the server may close before the tail
+    ASSERT_TRUE(client.ReadLine(&response));
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+    ASSERT_TRUE(client.ReadLine(&response));
+    EXPECT_NE(response.find("\"code\":\"line_too_long\""), std::string::npos)
+        << response.substr(0, 200);
+    // Closed: nothing after the overrun line is answered.
+    EXPECT_FALSE(client.ReadLine(&response)) << response.substr(0, 200);
+  }
+  TestClient checker;
+  ASSERT_TRUE(checker.Connect(port()));
+  std::string response;
+  ASSERT_TRUE(checker.SendLine("{\"op\":\"info\"}"));
+  ASSERT_TRUE(checker.ReadLine(&response));
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+}
+
+// Regression: one line of 200,000 '[' used to overflow the parser's
+// stack and take the daemon down; it is a typed error on a live
+// connection now.
+TEST_F(ServerTest, DeeplyNestedLineIsATypedError) {
+  StartServer();
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  std::string response;
+  ASSERT_TRUE(client.SendLine(std::string(200000, '[')));
+  ASSERT_TRUE(client.ReadLine(&response));
+  EXPECT_NE(response.find("\"code\":\"OutOfRange\""), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("nesting deeper than"), std::string::npos)
+      << response;
+  ASSERT_TRUE(client.SendLine("{\"op\":\"info\"}"));
+  ASSERT_TRUE(client.ReadLine(&response));
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+}
+
 // Regression (satellite 2): a signal storm against the serving process
 // must not drop connections or corrupt responses — every blocked socket
 // call gets EINTR-retried. The handler is installed without SA_RESTART

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "gtest/gtest.h"
 
@@ -80,6 +81,35 @@ TEST(JsonParse, ErrorsCarryOffset) {
   auto v = ParseJson("{\"a\": @}");
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.status().message().find("offset"), std::string::npos);
+}
+
+TEST(JsonParse, NestingAtTheDepthBoundParses) {
+  const std::string doc = std::string(kMaxJsonDepth, '[') +
+                          std::string(kMaxJsonDepth, ']');
+  auto v = ParseJson(doc);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v->kind, JsonValue::Kind::kArray);
+}
+
+TEST(JsonParse, NestingPastTheDepthBoundIsATypedError) {
+  // Regression: one line of 200,000 '[' used to recurse until the stack
+  // overflowed. Arrays and objects both count toward the bound.
+  for (const std::string& doc :
+       {std::string(200000, '['),
+        std::string(kMaxJsonDepth + 1, '[') +
+            std::string(kMaxJsonDepth + 1, ']'),
+        [] {
+          std::string nested;
+          for (size_t i = 0; i <= kMaxJsonDepth; ++i) nested += "{\"a\":";
+          return nested + "1" + std::string(kMaxJsonDepth + 1, '}');
+        }()}) {
+    auto v = ParseJson(doc);
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(v.status().message().find("nesting deeper than"),
+              std::string::npos)
+        << v.status().message();
+  }
 }
 
 TEST(JsonAppend, StringEscaping) {

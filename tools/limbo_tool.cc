@@ -422,7 +422,7 @@ int CmdRank(const relation::Relation& rel, const Args& args) {
   return 0;
 }
 
-/// Mines approximate acyclic schemes: a streamed entropy oracle over the
+/// Mines approximate acyclic schemes: a columnar entropy oracle over the
 /// relation feeds the J-measure search. The printed error per scheme is
 /// its J-measure — the KL cost in bits of pretending the relation joins
 /// losslessly from the scheme's bags.
