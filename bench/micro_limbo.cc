@@ -73,6 +73,13 @@
 //    both lane counts mine the identical scheme list on every dataset
 //    and DBLP yields at least one scheme. Its output is what
 //    BENCH_schemes.json records.
+//  * `micro_limbo --fit [--tuples=N]` fits generated DBLP at 10k and 20k
+//    tuples (only N when given) at 1 lane with `limbo-tool fit`'s
+//    default options, and prints one run report (the `--report` schema)
+//    with a "host" section (nproc, compiler, build type, git revision)
+//    and, per size, the fit's wall time, span tree and its aib.*,
+//    phase3.* and tane.* work counters. Exit 0 iff every fit succeeds.
+//    Its output is what BENCH_fit.json records.
 
 #include <benchmark/benchmark.h>
 #include <netinet/in.h>
@@ -1263,18 +1270,28 @@ int RunRefitBench(size_t tuples) {
   return (no_drift && speedup_ok && bit_identical) ? 0 : 1;
 }
 
-/// Host and build stamp for a ledger line, as JSON members without the
-/// braces: core count, compiler, CMake build type and the source
-/// checkout's revision (read with git at run time; "unknown" outside a
-/// checkout), so one ledger's lines compare across hosts and revisions.
-std::string LedgerStamp() {
+/// Host and build stamp of a ledger: core count, compiler, CMake build
+/// type and the source checkout's revision (read with git at run time;
+/// "unknown" outside a checkout), so ledgers compare across hosts and
+/// revisions.
+struct HostStamp {
+  uint64_t nproc = 0;
+  std::string compiler;
+  std::string build_type;
+  std::string git_revision;
+};
+
+HostStamp ReadHostStamp() {
+  HostStamp stamp;
+  stamp.nproc = std::thread::hardware_concurrency();
 #if defined(__clang__)
-  const std::string compiler = "clang " __clang_version__;
+  stamp.compiler = "clang " __clang_version__;
 #elif defined(__GNUC__)
-  const std::string compiler = "gcc " __VERSION__;
+  stamp.compiler = "gcc " __VERSION__;
 #else
-  const std::string compiler = "unknown";
+  stamp.compiler = "unknown";
 #endif
+  stamp.build_type = LIMBO_BUILD_TYPE;
   std::string revision;
   if (FILE* git = ::popen("git -C '" LIMBO_SOURCE_DIR
                           "' describe --always --dirty --abbrev=12 "
@@ -1288,16 +1305,78 @@ std::string LedgerStamp() {
                                   revision.back()))) {
     revision.pop_back();
   }
-  if (revision.empty()) revision = "unknown";
-  std::string out =
-      "\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
-      ", \"compiler\": ";
-  util::AppendJsonString(compiler, &out);
+  stamp.git_revision = revision.empty() ? "unknown" : revision;
+  return stamp;
+}
+
+/// The stamp as JSON members without the braces, for JSON-line ledgers.
+std::string LedgerStamp() {
+  const HostStamp stamp = ReadHostStamp();
+  std::string out = "\"nproc\": " + std::to_string(stamp.nproc) +
+                    ", \"compiler\": ";
+  util::AppendJsonString(stamp.compiler, &out);
   out += ", \"build_type\": ";
-  util::AppendJsonString(LIMBO_BUILD_TYPE, &out);
+  util::AppendJsonString(stamp.build_type, &out);
   out += ", \"git_revision\": ";
-  util::AppendJsonString(revision, &out);
+  util::AppendJsonString(stamp.git_revision, &out);
   return out;
+}
+
+/// The stamp as a "host" run-report section, for run-report ledgers.
+obs::ReportSection LedgerStampSection() {
+  const HostStamp stamp = ReadHostStamp();
+  obs::ReportSection host("host");
+  host.AddField("nproc", stamp.nproc);
+  host.AddField("compiler", stamp.compiler);
+  host.AddField("build_type", stamp.build_type);
+  host.AddField("git_revision", stamp.git_revision);
+  return host;
+}
+
+/// Standalone `--fit` mode: one model::FitModel per size over generated
+/// DBLP at 1 lane, each traced on its own (trace and counters reset
+/// before every fit), reported as one run report on stdout.
+int RunFitBench(const std::vector<size_t>& sizes) {
+  obs::RunReport report;
+  report.title = "micro_limbo fit";
+  report.sections.push_back(LedgerStampSection());
+  for (size_t tuples : sizes) {
+    datagen::DblpOptions dblp_options;
+    dblp_options.target_tuples = tuples;
+    const relation::Relation rel = datagen::GenerateDblp(dblp_options);
+    model::FitOptions options;
+    options.threads = 1;
+    obs::ResetTrace();
+    obs::ResetCounters();
+    const auto start = std::chrono::steady_clock::now();
+    auto bundle = model::FitModel(rel, options);
+    const double seconds = Seconds(start);
+    if (!bundle.ok()) {
+      std::fprintf(stderr, "%s\n", bundle.status().ToString().c_str());
+      return 1;
+    }
+    obs::ReportSection fit("fit_dblp_" + std::to_string(tuples));
+    fit.AddField("tuples", static_cast<uint64_t>(rel.NumTuples()));
+    fit.AddField("threads", static_cast<uint64_t>(options.threads));
+    fit.AddField("fit_seconds", seconds);
+    fit.AddField("value_groups",
+                 static_cast<uint64_t>(bundle->value_groups.size()));
+    fit.AddField("fds_mined", bundle->num_fds);
+    fit.AddField("ranked_fds",
+                 static_cast<uint64_t>(bundle->ranked_fds.size()));
+    fit.children.push_back(obs::TraceSection(obs::SnapshotTrace()));
+    std::vector<obs::CounterValue> counters;
+    for (obs::CounterValue& c : obs::SnapshotCounters()) {
+      if (c.name.starts_with("aib.") || c.name.starts_with("phase3.") ||
+          c.name.starts_with("tane.")) {
+        counters.push_back(std::move(c));
+      }
+    }
+    fit.children.push_back(obs::CountersSection(counters));
+    report.sections.push_back(std::move(fit));
+  }
+  std::printf("%s\n", report.ToJson().c_str());
+  return 0;
 }
 
 /// Standalone `--schemes` mode: the approximate acyclic-scheme miner on
@@ -1396,6 +1475,7 @@ int main(int argc, char** argv) {
   bool load_bench = false;
   bool refit_bench = false;
   bool schemes_bench = false;
+  bool fit_bench = false;
   size_t refit_tuples = 0;
   std::string stream_arm;
   std::string stream_csv;
@@ -1424,6 +1504,8 @@ int main(int argc, char** argv) {
       refit_bench = true;
     } else if (std::strcmp(argv[i], "--schemes") == 0) {
       schemes_bench = true;
+    } else if (std::strcmp(argv[i], "--fit") == 0) {
+      fit_bench = true;
     } else if (std::strncmp(argv[i], "--refit-tuples=", 15) == 0) {
       refit_tuples = static_cast<size_t>(std::strtoull(argv[i] + 15,
                                                        nullptr, 10));
@@ -1478,6 +1560,10 @@ int main(int argc, char** argv) {
   }
   if (refit_bench) return RunRefitBench(tuples_given ? tuples : 20000);
   if (schemes_bench) return RunSchemesBench(tuples_given ? tuples : 20000);
+  if (fit_bench) {
+    return RunFitBench(tuples_given ? std::vector<size_t>{tuples}
+                                    : std::vector<size_t>{10000, 20000});
+  }
   if (thread_scaling) return RunThreadScaling(tuples);
   if (kernel_bench) return RunKernelBench(tuples_given ? tuples : 10000);
   if (report_mode) {

@@ -18,20 +18,43 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Dense symmetric distance store over active cluster *slots*. Merged
 /// clusters reuse the slot of their left input; the right slot is retired.
+/// The diagonal and retired slots read +inf in every live row, so a row's
+/// minimum is a plain scan with no liveness test.
 class SlotMatrix {
  public:
-  explicit SlotMatrix(size_t q) : q_(q), d_(q * q, 0.0) {}
+  explicit SlotMatrix(size_t q) : q_(q), d_(q * q, kInf) {}
 
   double Get(size_t i, size_t j) const { return d_[i * q_ + j]; }
+  const double* Row(size_t i) const { return d_.data() + i * q_; }
   void Set(size_t i, size_t j, double v) {
     d_[i * q_ + j] = v;
     d_[j * q_ + i] = v;
   }
+  /// Hides retired slot `dead` from row i's scans. Only live rows need
+  /// it: a retired slot's own row is never read again.
+  void Retire(size_t i, size_t dead) { d_[i * q_ + dead] = kInf; }
 
  private:
   size_t q_;
   std::vector<double> d_;
 };
+
+/// Minimum of row[0, n), ignoring NaN. Four independent accumulators keep
+/// the compare-select chains short; the minimum of a set does not depend
+/// on the order it is taken in, so this equals a left-to-right scan.
+double RowMin(const double* row, size_t n) {
+  double m[4] = {kInf, kInf, kInf, kInf};
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    for (size_t u = 0; u < 4; ++u) {
+      m[u] = row[j + u] < m[u] ? row[j + u] : m[u];
+    }
+  }
+  for (; j < n; ++j) m[0] = row[j] < m[0] ? row[j] : m[0];
+  const double lo = m[1] < m[0] ? m[1] : m[0];
+  const double hi = m[3] < m[2] ? m[3] : m[2];
+  return hi < lo ? hi : lo;
+}
 
 }  // namespace
 
@@ -95,20 +118,21 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   // Equal distances tie-break on *cluster ids*, never slot indices: after
   // merges recycle slots, slot order and cluster-id order disagree, and
   // only the latter matches the documented (and global-selection) order.
+  // The liveness test runs only on entries equal to the row minimum,
+  // which also keeps a row of all-+inf live partners picking the lowest
+  // cluster id among them rather than a dead slot or the diagonal.
   auto recompute_nn = [&](size_t i) {
-    nn[i] = SIZE_MAX;
-    nn_dist[i] = kInf;
+    const double* row = dist.Row(i);
+    const double best = RowMin(row, q);
+    size_t arg = SIZE_MAX;
     for (size_t j = 0; j < q; ++j) {
-      if (j == i || !alive[j]) continue;
-      const double d = dist.Get(i, j);
-      if (d < nn_dist[i] ||
-          (d == nn_dist[i] &&
-           (nn[i] == SIZE_MAX ||
-            slot_cluster_id[j] < slot_cluster_id[nn[i]]))) {
-        nn_dist[i] = d;
-        nn[i] = j;
+      if (row[j] == best && alive[j] && j != i &&
+          (arg == SIZE_MAX || slot_cluster_id[j] < slot_cluster_id[arg])) {
+        arg = j;
       }
     }
+    nn[i] = arg;
+    nn_dist[i] = best;
   };
 
   // Initial pairwise matrix and NN cache. Every (i, j) writes cells owned
@@ -201,26 +225,26 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
     // The merged cluster takes slot a; slot b dies.
     slot_cluster_id[a] = next_cluster_id++;
     alive[b] = false;
+    dist.Set(a, b, kInf);
     --live;
 
-    // Refresh distances from the merged slot and fix stale NN entries.
-    // Each j owns its dist cells and nn/nn_dist slots, so both scans are
-    // safely data-parallel and bit-identical to the serial order. The
-    // per-merge tag lets each lane scatter the merged row at most once.
+    // Refresh distances from the merged slot, retire slot b from every
+    // live row, and fix stale NN entries. Each j owns its dist cells and
+    // nn/nn_dist slots, so both scans are safely data-parallel and
+    // bit-identical to the serial order. The per-merge tag lets each lane
+    // scatter the merged row at most once.
     const uint64_t refresh_tag = next_cluster_id;
     pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi, size_t lane) {
+      LossKernel& kernel = kernels[lane];
       if (batch) {
-        LossKernel& kernel = kernels[lane];
         kernel.SetObject(slot_p[a], arena.Row(slot_row[a]), refresh_tag);
-        for (size_t j = lo; j < hi; ++j) {
-          if (!alive[j] || j == a) continue;
-          dist.Set(a, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
-        }
-      } else {
-        for (size_t j = lo; j < hi; ++j) {
-          if (!alive[j] || j == a) continue;
-          dist.Set(a, j, InformationLoss(slot_dcf[a], slot_dcf[j]));
-        }
+      }
+      for (size_t j = lo; j < hi; ++j) {
+        if (!alive[j] || j == a) continue;
+        dist.Set(a, j,
+                 batch ? kernel.Loss(slot_p[j], arena.Row(slot_row[j]))
+                       : InformationLoss(slot_dcf[a], slot_dcf[j]));
+        dist.Retire(j, b);
       }
     });
     stats.distance_evals += live - 1;

@@ -287,9 +287,15 @@ size_t DistributionArena::AppendMerge(double w1, size_t a, double w2,
                                       size_t b) {
   const size_t na = offsets_[a + 1] - offsets_[a];
   const size_t nb = offsets_[b + 1] - offsets_[b];
-  // Reserve up front so the source rows stay put while we push the merge.
-  entries_.reserve(entries_.size() + na + nb);
-  log2s_.reserve(log2s_.size() + na + nb);
+  // Reserve up front so the source rows stay put while we push the merge,
+  // and grow geometrically: an exact-size reserve would reallocate and
+  // copy the whole slab on every merge once AIB's merged rows outgrow the
+  // initial reserve, which makes the merge loop quadratic in slab size.
+  auto grow = [need = entries_.size() + na + nb](auto& v) {
+    if (need > v.capacity()) v.reserve(std::max(need, 2 * v.capacity()));
+  };
+  grow(entries_);
+  grow(log2s_);
   const Entry* ae = entries_.data() + offsets_[a];
   const Entry* be = entries_.data() + offsets_[b];
   auto emit = [this](uint32_t id, double mass) {

@@ -13,25 +13,13 @@
 
 namespace limbo::core {
 
-util::Result<StructureSummary> SummarizeStructure(
+util::Result<DerivedStructure> DeriveStructure(
     const relation::Relation& rel, const StructureSummaryOptions& options) {
   if (rel.NumTuples() == 0) {
     return util::Status::InvalidArgument("relation is empty");
   }
-  LIMBO_OBS_SPAN(summary_span, "structure_summary");
-  StructureSummary summary;
-  {
-    LIMBO_OBS_SPAN(profile_span, "profile");
-    summary.profile = relation::Profile(rel);
-  }
-
+  DerivedStructure derived;
   const bool large = rel.NumTuples() > options.large_relation_threshold;
-
-  // Duplicate tuples.
-  DuplicateTupleOptions dup_options;
-  dup_options.phi_t = options.phi_t;
-  LIMBO_ASSIGN_OR_RETURN(summary.duplicates,
-                         FindDuplicateTuples(rel, dup_options));
 
   // Value clustering, with Double Clustering on large inputs.
   ValueClusteringOptions value_options;
@@ -58,14 +46,14 @@ util::Result<StructureSummary> SummarizeStructure(
     value_options.tuple_labels = &labels;
     value_options.num_tuple_clusters = num_clusters;
   }
-  LIMBO_ASSIGN_OR_RETURN(summary.values, ClusterValues(rel, value_options));
+  LIMBO_ASSIGN_OR_RETURN(derived.values, ClusterValues(rel, value_options));
 
   // Attribute grouping (when CV_D is non-empty).
-  if (!summary.values.duplicate_groups.empty()) {
-    auto grouping = GroupAttributes(rel, summary.values);
+  if (!derived.values.duplicate_groups.empty()) {
+    auto grouping = GroupAttributes(rel, derived.values);
     if (grouping.ok()) {
-      summary.grouping = std::move(grouping).value();
-      summary.has_grouping = true;
+      derived.grouping = std::move(grouping).value();
+      derived.has_grouping = true;
     }
   }
 
@@ -81,18 +69,38 @@ util::Result<StructureSummary> SummarizeStructure(
       LIMBO_ASSIGN_OR_RETURN(fds, fd::Fdep::Mine(rel));
     }
   }
-  summary.num_fds = fds.size();
+  derived.num_fds = fds.size();
   const auto cover = fd::MinimumCover(fds, /*merge_same_lhs=*/false);
-  if (summary.has_grouping) {
+  if (derived.has_grouping) {
     FdRankOptions rank_options;
     rank_options.psi = options.psi;
-    LIMBO_ASSIGN_OR_RETURN(summary.ranked_cover,
-                           RankFds(cover, summary.grouping, rank_options));
+    LIMBO_ASSIGN_OR_RETURN(derived.ranked_cover,
+                           RankFds(cover, derived.grouping, rank_options));
   } else {
     for (const auto& f : cover) {
-      summary.ranked_cover.push_back({f, 0.0, false});
+      derived.ranked_cover.push_back({f, 0.0, false});
     }
   }
+  return derived;
+}
+
+util::Result<StructureSummary> SummarizeStructure(
+    const relation::Relation& rel, const StructureSummaryOptions& options) {
+  if (rel.NumTuples() == 0) {
+    return util::Status::InvalidArgument("relation is empty");
+  }
+  LIMBO_OBS_SPAN(summary_span, "structure_summary");
+  StructureSummary summary;
+  {
+    LIMBO_OBS_SPAN(profile_span, "profile");
+    summary.profile = relation::Profile(rel);
+  }
+  DuplicateTupleOptions dup_options;
+  dup_options.phi_t = options.phi_t;
+  LIMBO_ASSIGN_OR_RETURN(summary.duplicates,
+                         FindDuplicateTuples(rel, dup_options));
+  LIMBO_ASSIGN_OR_RETURN(static_cast<DerivedStructure&>(summary),
+                         DeriveStructure(rel, options));
   return summary;
 }
 

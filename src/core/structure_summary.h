@@ -28,25 +28,38 @@ struct StructureSummaryOptions {
   double phi_t_double_clustering = 0.5;
 };
 
-/// Everything the paper's tools derive from one relation — the compact
-/// summary an analyst would browse (Sections 6-7 in one object).
-struct StructureSummary {
-  relation::RelationProfile profile;
-  DuplicateTupleReport duplicates;
+/// What the paper's tools derive from one relation past its profile and
+/// duplicate tuples: value groups / CV_D (Double Clustering on large
+/// inputs), the attribute dendrogram and the FD-RANKed minimum cover.
+struct DerivedStructure {
   ValueClusteringResult values;
   /// Present only when CV_D is non-empty.
   bool has_grouping = false;
   AttributeGroupingResult grouping;
   size_t num_fds = 0;
   std::vector<RankedFd> ranked_cover;
+};
+
+/// Everything the paper's tools derive from one relation — the compact
+/// summary an analyst would browse (Sections 6-7 in one object).
+struct StructureSummary : DerivedStructure {
+  relation::RelationProfile profile;
+  DuplicateTupleReport duplicates;
 
   /// Full analyst report as text.
   std::string ToString(const relation::Relation& rel) const;
 };
 
-/// Runs profiling, duplicate-tuple detection, value clustering (with
-/// Double Clustering on large inputs), attribute grouping, FD discovery
-/// (FDEP or TANE by size), minimum cover and FD-RANK.
+/// Runs value clustering (with Double Clustering on large inputs),
+/// attribute grouping, FD discovery (FDEP or TANE by size), minimum cover
+/// and FD-RANK. `options.phi_t` is not read: it only drives the duplicate
+/// pass, which this step leaves out. Opens no span of its own, so its
+/// steps nest directly under the caller's.
+util::Result<DerivedStructure> DeriveStructure(
+    const relation::Relation& rel,
+    const StructureSummaryOptions& options = StructureSummaryOptions());
+
+/// Runs profiling and duplicate-tuple detection, then DeriveStructure.
 util::Result<StructureSummary> SummarizeStructure(
     const relation::Relation& rel,
     const StructureSummaryOptions& options = StructureSummaryOptions());

@@ -24,15 +24,15 @@ double G3FromPartitions(const StrippedPartition& px,
   // Tuple -> class id in π_{X∪A}; tuples outside stripped classes are
   // singletons there.
   std::vector<int32_t> xa_class(n, -1);
-  for (size_t c = 0; c < pxa.classes().size(); ++c) {
-    for (TupleId t : pxa.classes()[c]) xa_class[t] = static_cast<int32_t>(c);
+  for (size_t c = 0; c < pxa.NumClasses(); ++c) {
+    for (TupleId t : pxa.Class(c)) xa_class[t] = static_cast<int32_t>(c);
   }
   size_t kept = n - px.CoveredTuples();  // X-singletons
   std::unordered_map<int32_t, size_t> counts;
-  for (const auto& cls : px.classes()) {
+  for (size_t c = 0; c < px.NumClasses(); ++c) {
     counts.clear();
     size_t best = 0;
-    for (TupleId t : cls) {
+    for (TupleId t : px.Class(c)) {
       const int32_t c = xa_class[t];
       if (c < 0) {
         best = std::max<size_t>(best, 1);  // XA-singleton
@@ -78,11 +78,10 @@ util::Result<std::vector<ApproximateFd>> MineApproximateFds(
   if (options.min_lhs == 0) {
     for (size_t a = 0; a < m; ++a) {
       size_t largest = 0;
-      size_t covered = 0;
-      for (const auto& cls : single[a].classes()) {
-        largest = std::max(largest, cls.size());
-        covered += cls.size();
+      for (size_t c = 0; c < single[a].NumClasses(); ++c) {
+        largest = std::max(largest, single[a].Class(c).size());
       }
+      const size_t covered = single[a].CoveredTuples();
       largest = std::max<size_t>(largest, covered < n ? 1 : 0);
       const double g3 = 1.0 - static_cast<double>(largest) /
                                   static_cast<double>(n);

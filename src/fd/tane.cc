@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "fd/partition.h"
+#include "obs/counters.h"
 
 namespace limbo::fd {
 
@@ -43,6 +44,7 @@ util::Result<std::vector<FunctionalDependency>> Tane::Mine(
   cplus_prev.emplace(AttributeSet(), full);
 
   size_t ell = 1;
+  uint64_t products = 0;
   while (!level.empty()) {
     // --- COMPUTE_DEPENDENCIES ---
     CPlusMap cplus;
@@ -142,6 +144,7 @@ util::Result<std::vector<FunctionalDependency>> Tane::Mine(
               z, StrippedPartition::Product(partitions.at(members[i]),
                                             partitions.at(members[j]), n));
           next_level.push_back(z);
+          ++products;
         }
       }
     }
@@ -159,6 +162,8 @@ util::Result<std::vector<FunctionalDependency>> Tane::Mine(
   }
 
   SortCanonically(&fds);
+  LIMBO_OBS_COUNT("tane.products", products);
+  LIMBO_OBS_COUNT("tane.fds", fds.size());
   return fds;
 }
 

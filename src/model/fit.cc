@@ -52,33 +52,32 @@ util::Result<ModelBundle> FitModel(const relation::Relation& rel,
   }
 
   // Derived structure: value groups / CV_D, dendrogram, ranked FDs.
-  core::StructureSummaryOptions summary_options;
-  summary_options.phi_t = options.phi_t;
-  summary_options.phi_v = options.phi_v;
-  summary_options.psi = options.psi;
-  LIMBO_ASSIGN_OR_RETURN(core::StructureSummary summary,
-                         core::SummarizeStructure(rel, summary_options));
-  bundle.value_mutual_information = summary.values.mutual_information;
-  bundle.value_threshold = summary.values.threshold;
-  bundle.value_groups = std::move(summary.values.groups);
-  bundle.duplicate_groups.reserve(summary.values.duplicate_groups.size());
-  for (size_t g : summary.values.duplicate_groups) {
+  core::StructureSummaryOptions derive_options;
+  derive_options.phi_v = options.phi_v;
+  derive_options.psi = options.psi;
+  LIMBO_ASSIGN_OR_RETURN(core::DerivedStructure derived,
+                         core::DeriveStructure(rel, derive_options));
+  bundle.value_mutual_information = derived.values.mutual_information;
+  bundle.value_threshold = derived.values.threshold;
+  bundle.value_groups = std::move(derived.values.groups);
+  bundle.duplicate_groups.reserve(derived.values.duplicate_groups.size());
+  for (size_t g : derived.values.duplicate_groups) {
     bundle.duplicate_groups.push_back(static_cast<uint32_t>(g));
   }
-  bundle.has_grouping = summary.has_grouping;
-  if (summary.has_grouping) {
-    bundle.grouping_attributes = std::move(summary.grouping.attributes);
-    bundle.grouping_num_objects = summary.grouping.aib.num_objects();
-    bundle.grouping_merges = summary.grouping.aib.merges();
+  bundle.has_grouping = derived.has_grouping;
+  if (derived.has_grouping) {
+    bundle.grouping_attributes = std::move(derived.grouping.attributes);
+    bundle.grouping_num_objects = derived.grouping.aib.num_objects();
+    bundle.grouping_merges = derived.grouping.aib.merges();
     bundle.grouping_cluster_members.reserve(
-        summary.grouping.cluster_members.size());
-    for (const fd::AttributeSet& s : summary.grouping.cluster_members) {
+        derived.grouping.cluster_members.size());
+    for (const fd::AttributeSet& s : derived.grouping.cluster_members) {
       bundle.grouping_cluster_members.push_back(s.bits());
     }
-    bundle.max_merge_loss = summary.grouping.max_merge_loss;
+    bundle.max_merge_loss = derived.grouping.max_merge_loss;
   }
-  bundle.num_fds = summary.num_fds;
-  bundle.ranked_fds = std::move(summary.ranked_cover);
+  bundle.num_fds = derived.num_fds;
+  bundle.ranked_fds = std::move(derived.ranked_cover);
 
   if (options.mine_schemes && rel.schema().NumAttributes() >= 2) {
     LIMBO_OBS_SPAN(schemes_span, "model.fit.schemes");

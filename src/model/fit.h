@@ -40,8 +40,9 @@ struct FitOptions {
 };
 
 /// Freezes one full LIMBO run over `rel` into a bundle: RunLimbo for the
-/// tuple representatives/assignments and SummarizeStructure for the value
-/// groups, dendrogram and ranked FDs. The bundle's representatives and
+/// tuple representatives/assignments and core::DeriveStructure for the
+/// value groups, dendrogram and ranked FDs (the fit has no use for
+/// SummarizeStructure's profile and duplicate pass, so it skips them). The bundle's representatives and
 /// assignments are exactly the batch RunLimbo output — a serve-side
 /// re-assignment of the same rows reproduces them bit for bit.
 util::Result<ModelBundle> FitModel(const relation::Relation& rel,

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <tuple>
+
+#include "util/random.h"
 
 namespace limbo::core {
 namespace {
@@ -179,6 +185,148 @@ TEST_P(AibThreadsTest, BitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, AibThreadsTest, ::testing::Values(1, 4));
+
+/// Naive AIB: every step scans all live pairs for the minimum
+/// (δ, min id, max id) — no slots, no nearest-neighbour cache. Each δ is
+/// evaluated once, in the orientation AgglomerativeIb evaluates it: input
+/// pairs as (lower id, higher id) from the initial matrix, and any pair
+/// holding a merged cluster with that newer, higher-id cluster as the
+/// object, as in the post-merge refresh.
+std::vector<Merge> ReferenceAib(const std::vector<Dcf>& inputs) {
+  const size_t q = inputs.size();
+  std::vector<Dcf> clusters = inputs;
+  clusters.reserve(2 * q);
+  std::vector<uint32_t> live;
+  for (uint32_t i = 0; i < q; ++i) live.push_back(i);
+  // delta[hi][lo] for lo < hi: row hi is filled when cluster hi exists.
+  std::vector<std::vector<double>> delta(2 * q);
+  for (uint32_t hi = 1; hi < q; ++hi) {
+    for (uint32_t lo = 0; lo < hi; ++lo) {
+      delta[hi].push_back(InformationLoss(clusters[lo], clusters[hi]));
+    }
+  }
+  std::vector<Merge> merges;
+  double cumulative = 0.0;
+  while (live.size() > 1) {
+    double best = std::numeric_limits<double>::infinity();
+    uint32_t best_lo = 0;
+    uint32_t best_hi = 0;
+    bool found = false;
+    for (size_t x = 0; x < live.size(); ++x) {
+      for (size_t y = x + 1; y < live.size(); ++y) {
+        const uint32_t lo = std::min(live[x], live[y]);
+        const uint32_t hi = std::max(live[x], live[y]);
+        const double d = delta[hi][lo];
+        if (!found || std::tie(d, lo, hi) < std::tie(best, best_lo, best_hi)) {
+          best = d;
+          best_lo = lo;
+          best_hi = hi;
+          found = true;
+        }
+      }
+    }
+    const auto merged = static_cast<uint32_t>(clusters.size());
+    clusters.push_back(MergeDcf(clusters[best_lo], clusters[best_hi]));
+    cumulative += best;
+    merges.push_back(Merge{best_lo, best_hi, merged, best, cumulative,
+                           clusters.back().p});
+    std::erase(live, best_lo);
+    std::erase(live, best_hi);
+    delta[merged].assign(merged, 0.0);
+    for (uint32_t other : live) {
+      delta[merged][other] = InformationLoss(clusters[merged], clusters[other]);
+    }
+    live.push_back(merged);
+  }
+  return merges;
+}
+
+/// Inputs whose equal-loss merges recycle slots out of cluster-id order:
+/// three distributions, each repeated four times, interleaved, with a
+/// fourth mass class so later merges tie across groups too.
+std::vector<Dcf> InterleavedDuplicates() {
+  std::vector<Dcf> inputs;
+  const std::vector<std::vector<uint32_t>> supports = {
+      {0, 1}, {2, 3}, {0, 1, 2, 3}};
+  for (size_t i = 0; i < 12; ++i) {
+    inputs.push_back(MakeDcf(1.0 / 16, supports[i % 3]));
+  }
+  for (size_t i = 0; i < 4; ++i) inputs.push_back(MakeDcf(1.0 / 16, {4, 5}));
+  return inputs;
+}
+
+/// About 300 random sparse DCFs over a 200-id universe. The full
+/// dendrogram's merged rows sum to many times the input entries, so the
+/// arena outgrows its initial reserve and regrows mid-run.
+std::vector<Dcf> RandomSparseDcfs() {
+  util::Random rng(20040613);
+  std::vector<Dcf> inputs;
+  double total = 0.0;
+  for (size_t i = 0; i < 300; ++i) {
+    std::vector<SparseDistribution::Entry> entries;
+    const size_t support = 2 + rng.Uniform(6);
+    for (size_t e = 0; e < support; ++e) {
+      const auto id = static_cast<uint32_t>(rng.Uniform(200));
+      if (std::none_of(entries.begin(), entries.end(),
+                       [id](const auto& x) { return x.id == id; })) {
+        entries.push_back({id, 0.1 + rng.NextDouble()});
+      }
+    }
+    Dcf d;
+    d.p = 1.0 + static_cast<double>(rng.Uniform(4));
+    total += d.p;
+    d.cond = SparseDistribution::FromPairs(std::move(entries));
+    inputs.push_back(std::move(d));
+  }
+  for (Dcf& d : inputs) d.p /= total;
+  return inputs;
+}
+
+using ReferenceParam = std::tuple<AibOptions::DistanceKernel, size_t>;
+class AibReferenceTest : public ::testing::TestWithParam<ReferenceParam> {
+ protected:
+  void ExpectMatchesReference(const std::vector<Dcf>& inputs) {
+    AibOptions options;
+    options.kernel = std::get<0>(GetParam());
+    options.threads = std::get<1>(GetParam());
+    auto result = AgglomerativeIb(inputs, options);
+    ASSERT_TRUE(result.ok());
+    const std::vector<Merge> expected = ReferenceAib(inputs);
+    const std::vector<Merge>& got = result->merges();
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].left, expected[i].left) << "merge " << i;
+      EXPECT_EQ(got[i].right, expected[i].right) << "merge " << i;
+      EXPECT_EQ(got[i].merged, expected[i].merged) << "merge " << i;
+      // Bit-equal, not approximately equal.
+      EXPECT_EQ(got[i].delta_i, expected[i].delta_i) << "merge " << i;
+      EXPECT_EQ(got[i].cumulative_loss, expected[i].cumulative_loss)
+          << "merge " << i;
+      EXPECT_EQ(got[i].p_merged, expected[i].p_merged) << "merge " << i;
+    }
+  }
+};
+
+TEST_P(AibReferenceTest, InterleavedDuplicatesMatchNaiveAib) {
+  ExpectMatchesReference(InterleavedDuplicates());
+}
+
+TEST_P(AibReferenceTest, RandomSparseDcfsMatchNaiveAib) {
+  ExpectMatchesReference(RandomSparseDcfs());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelsAndLanes, AibReferenceTest,
+    ::testing::Combine(::testing::Values(AibOptions::DistanceKernel::kBatch,
+                                         AibOptions::DistanceKernel::kPerPair),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<ReferenceParam>& info) {
+      return std::string(std::get<0>(info.param) ==
+                                 AibOptions::DistanceKernel::kBatch
+                             ? "Batch"
+                             : "PerPair") +
+             "Threads" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(AibStatsTest, CountsDistanceEvaluations) {
   auto result = AgglomerativeIb(TwoNaturalClusters());

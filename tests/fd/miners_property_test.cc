@@ -93,7 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{10, 4, 10, 10}, Shape{30, 5, 25, 11}, Shape{40, 5, 40, 12},
         // Degenerate shapes.
         Shape{1, 3, 2, 13}, Shape{2, 2, 1, 14}, Shape{50, 3, 1, 15},
-        Shape{6, 8, 2, 16}),
+        Shape{6, 8, 2, 16},
+        // Above the summary's TANE threshold (2000 rows): thousands of
+        // back-to-back partition products on one thread.
+        Shape{2500, 5, 6, 17}, Shape{3000, 6, 4, 18}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return "n" + std::to_string(info.param.tuples) + "m" +
              std::to_string(info.param.attributes) + "d" +

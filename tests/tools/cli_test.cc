@@ -254,6 +254,31 @@ TEST(CliTest, FitWritesAModelBundle) {
   EXPECT_EQ(std::string(magic, 8), "LIMBOMDL");
 }
 
+TEST(CliTest, FitReportHasNoDuplicatePass) {
+  // 3000 DBLP tuples is above the summary's large-relation threshold, so
+  // the fit runs Double Clustering and TANE. It derives structure without
+  // the duplicate-tuple pass, whose span is tuple_clustering.
+  const std::string tag = std::to_string(getpid());
+  const std::string csv = ::testing::TempDir() + "/limbo_cli_dblp." + tag +
+                          ".csv";
+  ASSERT_EQ(RunTool("generate dblp --tuples=3000 --out=" + csv).exit_code, 0);
+  const std::string report =
+      ::testing::TempDir() + "/limbo_cli_fit_report." + tag + ".json";
+  const RunResult r =
+      RunTool("fit " + csv + " --threads=1 --model-out=" +
+              ::testing::TempDir() + "/limbo_cli_fit_report." + tag +
+              ".limbo --report=" + report);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::string json = ReadFile(report);
+  ASSERT_FALSE(json.empty());
+  EXPECT_NE(json.find("\"model.fit\""), std::string::npos);
+  EXPECT_NE(json.find("\"double_clustering\""), std::string::npos);
+  EXPECT_NE(json.find("\"fd_mining\""), std::string::npos);
+  EXPECT_EQ(json.find("\"tuple_clustering\""), std::string::npos);
+  EXPECT_EQ(json.find("\"structure_summary\""), std::string::npos);
+  EXPECT_EQ(json.find("tuple_clustering."), std::string::npos);
+}
+
 TEST(CliTest, PartitionPrintsPhase3OnlyWhenItRan) {
   // The partition pipeline always runs its own Phase-3 assignment scan,
   // so the timings line must include it — and with the phase3_ran guard
