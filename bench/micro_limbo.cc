@@ -10,9 +10,9 @@
 //    count reproduces the serial merge sequence bit-for-bit.
 //  * `micro_limbo --kernel [--tuples=N]` benchmarks the δI distance
 //    kernel: per-pair dispatch vs the arena batch kernel across support
-//    shapes, plus a single-threaded Phase-2 + Phase-3 comparison of the
-//    two dispatch modes, with a built-in bit-identity check. Its output
-//    is what BENCH_kernel.json records.
+//    shapes, a single-threaded Phase-2 (AIB) timing, and a Phase-3
+//    comparison of the two dispatch modes with a built-in bit-identity
+//    check. Its output is what BENCH_kernel.json records.
 //  * `micro_limbo --report[=path] [--tuples=N] [--refit-tuples=M]` runs
 //    the full LIMBO pipeline once over a DBLP-sized input and emits a
 //    structured run report (same schema as `limbo-tool --report=...`:
@@ -417,8 +417,8 @@ bench::KernelCaseRow MeasureKernelCase(const char* name, size_t so, size_t sc,
 }
 
 /// Kernel benchmark mode: micro sweep over support shapes, then a
-/// single-threaded Phase-2 + Phase-3 comparison of per-pair vs batch
-/// dispatch on the DBLP input, with a bit-identity check.
+/// single-threaded Phase-2 timing and a Phase-3 comparison of per-pair vs
+/// batch dispatch on the DBLP input, with a bit-identity check.
 int RunKernelBench(size_t tuples) {
   std::vector<bench::KernelCaseRow> micro;
   micro.push_back(MeasureKernelCase("equal_8", 8, 8, 1));
@@ -447,45 +447,24 @@ int RunKernelBench(size_t tuples) {
   bench::KernelEndToEndRow e2e;
   e2e.tuples = objects.size();
   e2e.leaves = leaves.size();
-  e2e.bit_identical = true;
 
   core::AibOptions aib_options;
   aib_options.threads = 1;
   constexpr int kReps = 3;
-  util::Result<core::AibResult> batch_aib =
-      util::Status::InvalidArgument("unset");
-  util::Result<core::AibResult> pair_aib =
-      util::Status::InvalidArgument("unset");
-  e2e.phase2_batch_seconds = 1e30;
-  e2e.phase2_per_pair_seconds = 1e30;
+  util::Result<core::AibResult> aib = util::Status::InvalidArgument("unset");
+  e2e.phase2_seconds = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
-    aib_options.kernel = core::AibOptions::DistanceKernel::kBatch;
-    auto start = std::chrono::steady_clock::now();
-    batch_aib = core::AgglomerativeIb(leaves, aib_options);
-    e2e.phase2_batch_seconds =
-        std::min(e2e.phase2_batch_seconds, Seconds(start));
-    aib_options.kernel = core::AibOptions::DistanceKernel::kPerPair;
-    start = std::chrono::steady_clock::now();
-    pair_aib = core::AgglomerativeIb(leaves, aib_options);
-    e2e.phase2_per_pair_seconds =
-        std::min(e2e.phase2_per_pair_seconds, Seconds(start));
+    const auto start = std::chrono::steady_clock::now();
+    aib = core::AgglomerativeIb(leaves, aib_options);
+    e2e.phase2_seconds = std::min(e2e.phase2_seconds, Seconds(start));
   }
-  if (!batch_aib.ok() || !pair_aib.ok()) {
-    std::fprintf(stderr, "AIB failed\n");
+  if (!aib.ok()) {
+    std::fprintf(stderr, "%s\n", aib.status().ToString().c_str());
     return 1;
   }
-  const auto& bm = batch_aib->merges();
-  const auto& pm = pair_aib->merges();
-  bool same = bm.size() == pm.size();
-  for (size_t i = 0; same && i < bm.size(); ++i) {
-    same = bm[i].left == pm[i].left && bm[i].right == pm[i].right &&
-           bm[i].delta_i == pm[i].delta_i &&
-           bm[i].cumulative_loss == pm[i].cumulative_loss;
-  }
-  e2e.bit_identical = e2e.bit_identical && same;
 
   const size_t k = std::min<size_t>(10, leaves.size());
-  auto reps = core::ClusterDcfsAtK(leaves, *batch_aib, k);
+  auto reps = core::ClusterDcfsAtK(leaves, *aib, k);
   if (!reps.ok()) {
     std::fprintf(stderr, "%s\n", reps.status().ToString().c_str());
     return 1;
@@ -514,8 +493,7 @@ int RunKernelBench(size_t tuples) {
     std::fprintf(stderr, "Phase 3 failed\n");
     return 1;
   }
-  e2e.bit_identical = e2e.bit_identical && *batch_labels == *pair_labels &&
-                      batch_loss == pair_loss;
+  e2e.bit_identical = *batch_labels == *pair_labels && batch_loss == pair_loss;
 
   bench::PrintKernelJson(micro, e2e);
   return e2e.bit_identical ? 0 : 1;

@@ -1,5 +1,7 @@
 #include "core/aib.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -16,23 +18,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Dense symmetric distance store over active cluster *slots*. Merged
-/// clusters reuse the slot of their left input; the right slot is retired.
-/// The diagonal and retired slots read +inf in every live row, so a row's
-/// minimum is a plain scan with no liveness test.
+/// Dense symmetric distance store over active cluster *slots*, row-major.
+/// Merged clusters reuse the slot of their left input; the right slot is
+/// retired. The diagonal and retired slots read +inf in every live row,
+/// so a row's minimum is a plain scan with no liveness test. Callers keep
+/// it symmetric, and keep every store inside a δI loop on one row: a
+/// column store lands in a different row, q doubles apart, per cell.
 class SlotMatrix {
  public:
   explicit SlotMatrix(size_t q) : q_(q), d_(q * q, kInf) {}
 
   double Get(size_t i, size_t j) const { return d_[i * q_ + j]; }
+  double* Row(size_t i) { return d_.data() + i * q_; }
   const double* Row(size_t i) const { return d_.data() + i * q_; }
-  void Set(size_t i, size_t j, double v) {
-    d_[i * q_ + j] = v;
-    d_[j * q_ + i] = v;
-  }
-  /// Hides retired slot `dead` from row i's scans. Only live rows need
-  /// it: a retired slot's own row is never read again.
-  void Retire(size_t i, size_t dead) { d_[i * q_ + dead] = kInf; }
 
  private:
   size_t q_;
@@ -58,6 +56,44 @@ double RowMin(const double* row, size_t n) {
 
 }  // namespace
 
+util::Result<size_t> DistanceMatrixBytes(size_t q,
+                                         uint64_t memory_limit_bytes) {
+  size_t cells = 0;
+  size_t bytes = 0;
+  if (__builtin_mul_overflow(q, q, &cells) ||
+      __builtin_mul_overflow(cells, sizeof(double), &bytes)) {
+    return util::Status::OutOfRange(util::StrFormat(
+        "AIB distance matrix for q=%zu inputs needs %.3g bytes, more than "
+        "a size_t can count",
+        q, static_cast<double>(q) * static_cast<double>(q) * sizeof(double)));
+  }
+  if (bytes > memory_limit_bytes) {
+    return util::Status::OutOfRange(util::StrFormat(
+        "AIB distance matrix for q=%zu inputs needs %zu bytes, more than "
+        "the %llu bytes of memory available",
+        q, bytes, static_cast<unsigned long long>(memory_limit_bytes)));
+  }
+  return bytes;
+}
+
+namespace {
+
+/// The host's physical memory in bytes, or UINT64_MAX when the host does
+/// not report it.
+uint64_t PhysicalMemoryBytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  uint64_t bytes = 0;
+  if (pages <= 0 || page_size <= 0 ||
+      __builtin_mul_overflow(static_cast<uint64_t>(pages),
+                             static_cast<uint64_t>(page_size), &bytes)) {
+    return UINT64_MAX;
+  }
+  return bytes;
+}
+
+}  // namespace
+
 util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
                                         const AibOptions& options) {
   const size_t q = inputs.size();
@@ -69,6 +105,12 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
         util::StrFormat("min_k=%zu out of range [1, %zu]", options.min_k, q));
   }
 
+  // Refuse a matrix the host cannot hold before allocating anything.
+  if (auto bytes = DistanceMatrixBytes(q, PhysicalMemoryBytes());
+      !bytes.ok()) {
+    return bytes.status();
+  }
+
   LIMBO_OBS_SPAN(aib_span, "aib");
   util::ThreadPool pool(options.threads);
   AibStats stats;
@@ -77,29 +119,22 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   // round-robin chunk->lane mapping balances the triangular initial build.
   constexpr size_t kGrain = 16;
 
-  const bool batch = options.kernel == AibOptions::DistanceKernel::kBatch;
-
   // Per-slot state. slot_cluster_id maps a live slot to its global cluster
-  // id (scipy convention). In batch mode the conditionals live as arena
-  // rows (slot_row indexes them) with slot_p alongside; in per-pair mode
-  // slot_dcf holds the merged statistics as before. Either way the
-  // conditional masses are bit-identical (AppendMerge replicates
-  // WeightedMerge's expressions), so the two modes agree exactly.
-  std::vector<Dcf> slot_dcf;
+  // id (scipy convention). The conditionals live as arena rows (slot_row
+  // indexes them) with slot_p alongside; AppendMerge replicates
+  // WeightedMerge's expressions, so the masses are bit-identical to
+  // MergeDcf's.
   DistributionArena arena;
-  std::vector<size_t> slot_row;
+  std::vector<size_t> slot_row(q);
   std::vector<double> slot_p(q);
-  for (size_t i = 0; i < q; ++i) slot_p[i] = inputs[i].p;
-  if (batch) {
-    size_t total_entries = 0;
-    for (const Dcf& in : inputs) total_entries += in.cond.SupportSize();
-    // Merged rows append behind the inputs; 2x covers the whole
-    // dendrogram in the common case without a mid-run realloc.
-    arena.ReserveEntries(total_entries * 2);
-    slot_row.resize(q);
-    for (size_t i = 0; i < q; ++i) slot_row[i] = arena.Append(inputs[i].cond);
-  } else {
-    slot_dcf = inputs;
+  size_t total_entries = 0;
+  for (const Dcf& in : inputs) total_entries += in.cond.SupportSize();
+  // Merged rows append behind the inputs; 2x covers the whole dendrogram
+  // in the common case without a mid-run realloc.
+  arena.ReserveEntries(total_entries * 2);
+  for (size_t i = 0; i < q; ++i) {
+    slot_p[i] = inputs[i].p;
+    slot_row[i] = arena.Append(inputs[i].cond);
   }
   // One δI kernel per lane: the static chunk->lane mapping means each
   // kernel sees the same rows on every run, so results stay bit-identical
@@ -135,24 +170,25 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
     nn_dist[i] = best;
   };
 
-  // Initial pairwise matrix and NN cache. Every (i, j) writes cells owned
-  // by that pair alone, so the static partition is bit-deterministic.
+  // Initial pairwise matrix and NN cache. The kernel pass writes only
+  // row i's upper half, which is contiguous; the mirror pass then fills
+  // the lower half, row by row. Every cell has one writer, so the static
+  // partitions are bit-deterministic.
   LIMBO_OBS_SPAN(build_span, "matrix_build");
   pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi, size_t lane) {
-    if (batch) {
-      LossKernel& kernel = kernels[lane];
-      for (size_t i = lo; i < hi; ++i) {
-        kernel.SetObject(slot_p[i], arena.Row(slot_row[i]));
-        for (size_t j = i + 1; j < q; ++j) {
-          dist.Set(i, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
-        }
+    LossKernel& kernel = kernels[lane];
+    for (size_t i = lo; i < hi; ++i) {
+      kernel.SetObject(slot_p[i], arena.Row(slot_row[i]));
+      double* row = dist.Row(i);
+      for (size_t j = i + 1; j < q; ++j) {
+        row[j] = kernel.Loss(slot_p[j], arena.Row(slot_row[j]));
       }
-    } else {
-      for (size_t i = lo; i < hi; ++i) {
-        for (size_t j = i + 1; j < q; ++j) {
-          dist.Set(i, j, InformationLoss(slot_dcf[i], slot_dcf[j]));
-        }
-      }
+    }
+  });
+  pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      double* row = dist.Row(i);
+      for (size_t j = 0; j < i; ++j) row[j] = dist.Get(j, i);
     }
   });
   pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi) {
@@ -202,21 +238,15 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
 
     const double delta = dist.Get(a, b);
     cumulative += delta;
-    // Merge per Eq. 1/2. The batch arm writes the merged conditional
-    // straight into arena scratch with the same per-entry arithmetic as
-    // MergeDcf/WeightedMerge.
+    // Merge per Eq. 1/2: the merged conditional goes straight into arena
+    // scratch with the same per-entry arithmetic as MergeDcf.
     double p_merged = slot_p[a] + slot_p[b];
-    if (batch) {
-      if (p_merged <= 0.0) {
-        p_merged = 0.0;
-        slot_row[a] = arena.Append(DistributionView{});
-      } else {
-        slot_row[a] = arena.AppendMerge(slot_p[a] / p_merged, slot_row[a],
-                                        slot_p[b] / p_merged, slot_row[b]);
-      }
+    if (p_merged <= 0.0) {
+      p_merged = 0.0;
+      slot_row[a] = arena.Append(DistributionView{});
     } else {
-      slot_dcf[a] = MergeDcf(slot_dcf[a], slot_dcf[b]);
-      p_merged = slot_dcf[a].p;
+      slot_row[a] = arena.AppendMerge(slot_p[a] / p_merged, slot_row[a],
+                                      slot_p[b] / p_merged, slot_row[b]);
     }
     slot_p[a] = p_merged;
     merges.push_back(Merge{slot_cluster_id[a], slot_cluster_id[b],
@@ -225,30 +255,29 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
     // The merged cluster takes slot a; slot b dies.
     slot_cluster_id[a] = next_cluster_id++;
     alive[b] = false;
-    dist.Set(a, b, kInf);
     --live;
 
-    // Refresh distances from the merged slot, retire slot b from every
-    // live row, and fix stale NN entries. Each j owns its dist cells and
-    // nn/nn_dist slots, so both scans are safely data-parallel and
-    // bit-identical to the serial order. The per-merge tag lets each lane
-    // scatter the merged row at most once.
+    // Refresh row a from the merged slot: the kernel pass stores only
+    // into row a, contiguously. The per-merge tag lets each lane scatter
+    // the merged row at most once.
+    double* row_a = dist.Row(a);
+    row_a[b] = kInf;
     const uint64_t refresh_tag = next_cluster_id;
     pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi, size_t lane) {
       LossKernel& kernel = kernels[lane];
-      if (batch) {
-        kernel.SetObject(slot_p[a], arena.Row(slot_row[a]), refresh_tag);
-      }
+      kernel.SetObject(slot_p[a], arena.Row(slot_row[a]), refresh_tag);
       for (size_t j = lo; j < hi; ++j) {
         if (!alive[j] || j == a) continue;
-        dist.Set(a, j,
-                 batch ? kernel.Loss(slot_p[j], arena.Row(slot_row[j]))
-                       : InformationLoss(slot_dcf[a], slot_dcf[j]));
-        dist.Retire(j, b);
+        row_a[j] = kernel.Loss(slot_p[j], arena.Row(slot_row[j]));
       }
     });
     stats.distance_evals += live - 1;
     recompute_nn(a);
+    // The NN-fix sweep visits every live j anyway: it mirrors row a's
+    // cell into column a of row j and retires slot b there, which
+    // completes row j, then fixes j's stale NN entry. Each j owns its row
+    // and nn/nn_dist slots and row a is read-only here, so the sweep is
+    // data-parallel and bit-identical to the serial order.
     pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi) {
       // NN-cache economics per surviving slot: a full recompute_nn is a
       // miss, keeping or cheaply lowering the cached partner is a hit.
@@ -257,15 +286,18 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
       uint64_t misses = 0;
       for (size_t j = lo; j < hi; ++j) {
         if (!alive[j] || j == a) continue;
+        double* row_j = dist.Row(j);
+        row_j[a] = row_a[j];
+        row_j[b] = kInf;
         if (nn[j] == a || nn[j] == b) {
           recompute_nn(j);
           ++misses;
         } else {
-          if (dist.Get(a, j) < nn_dist[j]) {
+          if (row_a[j] < nn_dist[j]) {
             // Strict < keeps the incumbent on ties: the merged cluster has
             // the largest id, so cluster-id order agrees.
             nn[j] = a;
-            nn_dist[j] = dist.Get(a, j);
+            nn_dist[j] = row_a[j];
           }
           ++hits;
         }

@@ -71,12 +71,6 @@ class AibResult {
 
 /// Options for AgglomerativeIb.
 struct AibOptions {
-  /// How δI evaluations are dispatched. Both produce bit-identical
-  /// results (the batch kernel *is* the per-pair kernel, scattered once
-  /// per row instead of once per pair); kPerPair survives as the
-  /// reference arm for the equivalence tests and the kernel benchmark.
-  enum class DistanceKernel { kBatch, kPerPair };
-
   /// Stop when this many clusters remain (1 = full dendrogram).
   size_t min_k = 1;
   /// Worker lanes for the distance-matrix build and per-merge row
@@ -84,17 +78,24 @@ struct AibOptions {
   /// (util::DefaultThreadCount), 1 = serial. Results are bit-identical
   /// for every value.
   size_t threads = 0;
-  /// Distance dispatch. kBatch keeps slot conditionals in a
-  /// DistributionArena and streams each matrix row / refresh through a
-  /// per-lane LossKernel.
-  DistanceKernel kernel = DistanceKernel::kBatch;
 };
+
+/// Bytes of AIB's dense q × q distance matrix, or a typed OutOfRange
+/// naming q and the byte count when that size overflows size_t or
+/// exceeds `memory_limit_bytes`. AgglomerativeIb checks it against the
+/// host's physical memory (sysconf) before allocating, so a Phase 2 too
+/// large for the host is refused instead of OOM-killed. The bound is the
+/// host's RAM, not a cgroup memory limit: in a container smaller than the
+/// host, a matrix between the two sizes still passes.
+util::Result<size_t> DistanceMatrixBytes(size_t q,
+                                         uint64_t memory_limit_bytes);
 
 /// Agglomerative Information Bottleneck (Slonim & Tishby): greedily merges
 /// the cluster pair with minimum information loss δI until `min_k` clusters
 /// remain. Exact greedy; O(q^2) memory for the distance matrix, so intended
 /// for q up to a few thousand — use Limbo (limbo.h) above that, exactly as
-/// the paper prescribes.
+/// the paper prescribes. Returns OutOfRange (DistanceMatrixBytes) when the
+/// matrix would not fit in the host's physical memory.
 ///
 /// Ties in δI are broken deterministically on *cluster ids*: the pair
 /// with the lexicographically smallest (min id, max id) merges first,

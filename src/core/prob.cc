@@ -9,11 +9,21 @@
 
 namespace limbo::core {
 
-namespace {
-constexpr double kLog2e = 1.4426950408889634;  // 1/ln(2)
+namespace internal {
 
-double Log2(double x) { return std::log(x) * kLog2e; }
-}  // namespace
+double Log2(double x) {
+  constexpr double kLog2e = 1.4426950408889634;  // 1/ln(2)
+  return std::log(x) * kLog2e;
+}
+
+// Every slot starts keyed on 1.0 and holding Log2(1.0): a slot that is
+// not 1.0's own never matches a lookup, and 1.0's own holds its value.
+Log2Memo::Log2Memo() : slots_(kSlots, Slot{std::bit_cast<uint64_t>(1.0),
+                                           Log2(1.0)}) {}
+
+}  // namespace internal
+
+using internal::Log2;
 
 SparseDistribution SparseDistribution::UniformOver(
     std::span<const uint32_t> ids) {
@@ -342,17 +352,16 @@ void LossKernel::SetObject(double p, DistributionView cond, uint64_t tag) {
   }
   ++stats_.scatters;
   tag_ = tag;
-  for (uint32_t id : touched_) dense_mass_[id] = 0.0;
+  for (uint32_t id : touched_) dense_[id].mass = 0.0;
   touched_.clear();
   object_p_ = p;
   object_ = cond;
   const size_t n = cond.entries.size();
   if (cond.log2s == nullptr) owned_log2s_.resize(n);
   const uint32_t max_id = n > 0 ? cond.entries[n - 1].id : 0;  // sorted
-  dense_ = n > 0 && max_id < kDenseIdLimit;
-  if (dense_ && dense_mass_.size() <= max_id) {
-    dense_mass_.resize(max_id + 1, 0.0);
-    dense_log_.resize(max_id + 1, 0.0);
+  use_dense_ = n > 0 && max_id < kDenseIdLimit;
+  if (use_dense_ && dense_.size() <= max_id) {
+    dense_.resize(max_id + 1, DenseCell{0.0, 0.0});
   }
   double total = 0.0;
   for (size_t k = 0; k < n; ++k) {
@@ -361,10 +370,9 @@ void LossKernel::SetObject(double p, DistributionView cond, uint64_t tag) {
     const double log =
         cond.log2s ? cond.log2s[k] : (mass > 0.0 ? Log2(mass) : 0.0);
     if (cond.log2s == nullptr) owned_log2s_[k] = log;
-    if (dense_ && mass > 0.0) {
+    if (use_dense_ && mass > 0.0) {
       const uint32_t id = cond.entries[k].id;
-      dense_mass_[id] = mass;
-      dense_log_[id] = log;
+      dense_[id] = DenseCell{mass, log};
       touched_.push_back(id);
     }
   }
@@ -388,8 +396,8 @@ double LossKernel::Loss(double p, DistributionView cand) const {
 
 double LossKernel::JsSmallObject(double w1, double w2,
                                  DistributionView cand) const {
-  const double log_inv_w1 = (w1 > 0.0) ? -Log2(w1) : 0.0;
-  const double log_inv_w2 = (w2 > 0.0) ? -Log2(w2) : 0.0;
+  const double log_inv_w1 = (w1 > 0.0) ? -log2_(w1) : 0.0;
+  const double log_inv_w2 = (w2 > 0.0) ? -log2_(w2) : 0.0;
   double d = 0.0;
   double shared_c = 0.0;
   const std::span<const Entry> ce = cand.entries;
@@ -404,7 +412,7 @@ double LossKernel::JsSmallObject(double w1, double w2,
       const double qm = ce[j].mass;
       const double lq = cand.log2s ? cand.log2s[j] : Log2(qm);
       const double mm = w1 * pm + w2 * qm;
-      d += w1 * pm * object_log2s_[k] + w2 * qm * lq - mm * Log2(mm);
+      d += w1 * pm * object_log2s_[k] + w2 * qm * lq - mm * log2_(mm);
     } else {
       d += w1 * pm * log_inv_w1;
     }
@@ -420,24 +428,25 @@ double LossKernel::JsSmallObject(double w1, double w2,
 
 double LossKernel::JsStreamCandidate(double w1, double w2,
                                      DistributionView cand) const {
-  const double log_inv_w1 = (w1 > 0.0) ? -Log2(w1) : 0.0;
-  const double log_inv_w2 = (w2 > 0.0) ? -Log2(w2) : 0.0;
+  const double log_inv_w1 = (w1 > 0.0) ? -log2_(w1) : 0.0;
+  const double log_inv_w2 = (w2 > 0.0) ? -log2_(w2) : 0.0;
   double d = 0.0;
   double shared_o = 0.0;
   const std::span<const Entry> ce = cand.entries;
-  if (dense_) {
-    const size_t limit = dense_mass_.size();
+  if (use_dense_) {
+    const size_t limit = dense_.size();
     for (size_t j = 0; j < ce.size(); ++j) {
       const double qm = ce[j].mass;
       if (qm <= 0.0) continue;
       const uint32_t id = ce[j].id;
-      const double pm = (id < limit) ? dense_mass_[id] : 0.0;
-      if (pm == 0.0) {
+      const DenseCell cell = (id < limit) ? dense_[id] : DenseCell{0.0, 0.0};
+      if (cell.mass == 0.0) {
         d += w2 * qm * log_inv_w2;
       } else {
+        const double pm = cell.mass;
         const double lq = cand.log2s ? cand.log2s[j] : Log2(qm);
         const double mm = w1 * pm + w2 * qm;
-        d += w1 * pm * dense_log_[id] + w2 * qm * lq - mm * Log2(mm);
+        d += w1 * pm * cell.log2 + w2 * qm * lq - mm * log2_(mm);
         shared_o += pm;
       }
     }
@@ -458,7 +467,7 @@ double LossKernel::JsStreamCandidate(double w1, double w2,
         const double pm = oe[k].mass;
         const double lq = cand.log2s ? cand.log2s[j] : Log2(qm);
         const double mm = w1 * pm + w2 * qm;
-        d += w1 * pm * object_log2s_[k] + w2 * qm * lq - mm * Log2(mm);
+        d += w1 * pm * object_log2s_[k] + w2 * qm * lq - mm * log2_(mm);
         shared_o += pm;
       }
     }

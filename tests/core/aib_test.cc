@@ -186,24 +186,44 @@ TEST_P(AibThreadsTest, BitIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, AibThreadsTest, ::testing::Values(1, 4));
 
+/// How the naive reference evaluates each δ: one InformationLoss call per
+/// pair, or one InformationLossBatch call per object row, so a single
+/// kernel (and its log memo) is reused across the row's candidates.
+enum class ReferenceLoss { kBatch, kPerPair };
+
 /// Naive AIB: every step scans all live pairs for the minimum
 /// (δ, min id, max id) — no slots, no nearest-neighbour cache. Each δ is
 /// evaluated once, in the orientation AgglomerativeIb evaluates it: input
 /// pairs as (lower id, higher id) from the initial matrix, and any pair
 /// holding a merged cluster with that newer, higher-id cluster as the
 /// object, as in the post-merge refresh.
-std::vector<Merge> ReferenceAib(const std::vector<Dcf>& inputs) {
+std::vector<Merge> ReferenceAib(const std::vector<Dcf>& inputs,
+                                ReferenceLoss loss) {
   const size_t q = inputs.size();
   std::vector<Dcf> clusters = inputs;
   clusters.reserve(2 * q);
   std::vector<uint32_t> live;
   for (uint32_t i = 0; i < q; ++i) live.push_back(i);
+  // δ(object, each candidate), in candidate order.
+  auto losses = [loss](const Dcf& object, const std::vector<Dcf>& cands) {
+    std::vector<double> out(cands.size());
+    if (loss == ReferenceLoss::kBatch) {
+      InformationLossBatch(object, cands, out);
+    } else {
+      for (size_t c = 0; c < cands.size(); ++c) {
+        out[c] = InformationLoss(object, cands[c]);
+      }
+    }
+    return out;
+  };
   // delta[hi][lo] for lo < hi: row hi is filled when cluster hi exists.
   std::vector<std::vector<double>> delta(2 * q);
-  for (uint32_t hi = 1; hi < q; ++hi) {
-    for (uint32_t lo = 0; lo < hi; ++lo) {
-      delta[hi].push_back(InformationLoss(clusters[lo], clusters[hi]));
-    }
+  for (uint32_t hi = 1; hi < q; ++hi) delta[hi].resize(hi);
+  for (uint32_t lo = 0; lo + 1 < q; ++lo) {
+    const std::vector<Dcf> higher(clusters.begin() + lo + 1,
+                                  clusters.begin() + q);
+    const std::vector<double> row = losses(clusters[lo], higher);
+    for (uint32_t hi = lo + 1; hi < q; ++hi) delta[hi][lo] = row[hi - lo - 1];
   }
   std::vector<Merge> merges;
   double cumulative = 0.0;
@@ -233,9 +253,10 @@ std::vector<Merge> ReferenceAib(const std::vector<Dcf>& inputs) {
     std::erase(live, best_lo);
     std::erase(live, best_hi);
     delta[merged].assign(merged, 0.0);
-    for (uint32_t other : live) {
-      delta[merged][other] = InformationLoss(clusters[merged], clusters[other]);
-    }
+    std::vector<Dcf> others;
+    for (uint32_t other : live) others.push_back(clusters[other]);
+    const std::vector<double> row = losses(clusters[merged], others);
+    for (size_t x = 0; x < live.size(); ++x) delta[merged][live[x]] = row[x];
     live.push_back(merged);
   }
   return merges;
@@ -255,14 +276,14 @@ std::vector<Dcf> InterleavedDuplicates() {
   return inputs;
 }
 
-/// About 300 random sparse DCFs over a 200-id universe. The full
-/// dendrogram's merged rows sum to many times the input entries, so the
-/// arena outgrows its initial reserve and regrows mid-run.
-std::vector<Dcf> RandomSparseDcfs() {
+/// `n` (default 300) random sparse DCFs over a 200-id universe. At 300
+/// the full dendrogram's merged rows sum to many times the input entries,
+/// so the arena outgrows its initial reserve and regrows mid-run.
+std::vector<Dcf> RandomSparseDcfs(size_t n = 300) {
   util::Random rng(20040613);
   std::vector<Dcf> inputs;
   double total = 0.0;
-  for (size_t i = 0; i < 300; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     std::vector<SparseDistribution::Entry> entries;
     const size_t support = 2 + rng.Uniform(6);
     for (size_t e = 0; e < support; ++e) {
@@ -282,16 +303,17 @@ std::vector<Dcf> RandomSparseDcfs() {
   return inputs;
 }
 
-using ReferenceParam = std::tuple<AibOptions::DistanceKernel, size_t>;
+/// Parameters: the reference's δ evaluation, and AIB's lane count.
+using ReferenceParam = std::tuple<ReferenceLoss, size_t>;
 class AibReferenceTest : public ::testing::TestWithParam<ReferenceParam> {
  protected:
   void ExpectMatchesReference(const std::vector<Dcf>& inputs) {
     AibOptions options;
-    options.kernel = std::get<0>(GetParam());
     options.threads = std::get<1>(GetParam());
     auto result = AgglomerativeIb(inputs, options);
     ASSERT_TRUE(result.ok());
-    const std::vector<Merge> expected = ReferenceAib(inputs);
+    const std::vector<Merge> expected =
+        ReferenceAib(inputs, std::get<0>(GetParam()));
     const std::vector<Merge>& got = result->merges();
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -315,18 +337,60 @@ TEST_P(AibReferenceTest, RandomSparseDcfsMatchNaiveAib) {
   ExpectMatchesReference(RandomSparseDcfs());
 }
 
+// The matrix build writes the upper triangle and mirrors it into the
+// lower one: a single input, a single pair, and sizes that split unevenly
+// into the 16-row chunks the lanes take.
+TEST_P(AibReferenceTest, MirrorEdgesMatchNaiveAib) {
+  for (const size_t q : {size_t{1}, size_t{2}, size_t{63}, size_t{65},
+                         size_t{197}}) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    ExpectMatchesReference(RandomSparseDcfs(q));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndLanes, AibReferenceTest,
-    ::testing::Combine(::testing::Values(AibOptions::DistanceKernel::kBatch,
-                                         AibOptions::DistanceKernel::kPerPair),
+    ::testing::Combine(::testing::Values(ReferenceLoss::kBatch,
+                                         ReferenceLoss::kPerPair),
                        ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<ReferenceParam>& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 AibOptions::DistanceKernel::kBatch
+      return std::string(std::get<0>(info.param) == ReferenceLoss::kBatch
                              ? "Batch"
                              : "PerPair") +
              "Threads" + std::to_string(std::get<1>(info.param));
     });
+
+TEST(AibMatrixBoundTest, SizeIsQSquaredDoubles) {
+  auto bytes = DistanceMatrixBytes(1000, UINT64_MAX);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, 1000u * 1000u * sizeof(double));
+  // Exactly at the limit is allowed.
+  bytes = DistanceMatrixBytes(100, 100 * 100 * sizeof(double));
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, 80000u);
+}
+
+TEST(AibMatrixBoundTest, RefusesPastTheMemoryLimit) {
+  const auto bytes = DistanceMatrixBytes(101, 100 * 100 * sizeof(double));
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), util::StatusCode::kOutOfRange);
+  EXPECT_NE(bytes.status().message().find("q=101"), std::string::npos)
+      << bytes.status().message();
+  EXPECT_NE(bytes.status().message().find("81608 bytes"), std::string::npos)
+      << bytes.status().message();
+}
+
+TEST(AibMatrixBoundTest, RefusesASizeThatOverflows) {
+  // q² overflows, and so does q² · 8 for a q whose q² does not.
+  for (const size_t q : {size_t{1} << 32, size_t{1} << 31}) {
+    const auto bytes = DistanceMatrixBytes(q, UINT64_MAX);
+    ASSERT_FALSE(bytes.ok());
+    EXPECT_EQ(bytes.status().code(), util::StatusCode::kOutOfRange);
+    EXPECT_NE(bytes.status().message().find("q=" + std::to_string(q)),
+              std::string::npos)
+        << bytes.status().message();
+  }
+}
 
 TEST(AibStatsTest, CountsDistanceEvaluations) {
   auto result = AgglomerativeIb(TwoNaturalClusters());

@@ -1,11 +1,13 @@
 // Tests for the arena-backed distance kernel layer: DistributionArena,
-// LossKernel, the batch/per-pair bit-identity contract, the asymmetric
-// JsDivergence path at its cutoff boundary, and the galloping-lookup
-// complexity bound.
+// LossKernel and its log2 memo, the batch/per-pair bit-identity contract,
+// the asymmetric JsDivergence path at its cutoff boundary, and the
+// galloping-lookup complexity bound.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -194,6 +196,200 @@ TEST(LossKernelTest, TagMakesRepeatSetObjectANoOp) {
 }
 
 // ---------------------------------------------------------------------------
+// The log2 memo is transparent: bits, not tolerances
+
+double FreshLog2(double x) { return std::log(x) * 1.4426950408889634; }
+
+/// δI exactly as LossKernel evaluates it (same path choice, same terms,
+/// same expression order), with every log2 computed fresh: no memo, no
+/// cached row logs. Whatever a kernel's memo holds, its result must have
+/// these bits.
+double UncachedKernelLoss(double po, const SparseDistribution& o, double pc,
+                          const SparseDistribution& c) {
+  const double total = po + pc;
+  if (total <= 0.0) return 0.0;
+  if (o.Empty() || c.Empty()) return 0.0;
+  const double w1 = po / total;
+  const double w2 = pc / total;
+  const double log_inv_w1 = (w1 > 0.0) ? -FreshLog2(w1) : 0.0;
+  const double log_inv_w2 = (w2 > 0.0) ? -FreshLog2(w2) : 0.0;
+  double d = 0.0;
+  if (o.SupportSize() * kAsymmetricCutoffRatio < c.SupportSize()) {
+    double shared_c = 0.0;
+    for (const auto& e : o.entries()) {
+      const double pm = e.mass;
+      const double qm = c.MassAt(e.id);
+      if (qm > 0.0) {
+        const double mm = w1 * pm + w2 * qm;
+        d += w1 * pm * FreshLog2(pm) + w2 * qm * FreshLog2(qm) -
+             mm * FreshLog2(mm);
+        shared_c += qm;
+      } else {
+        d += w1 * pm * log_inv_w1;
+      }
+    }
+    const double c_only = 1.0 - shared_c;
+    if (c_only > 0.0) d += w2 * c_only * log_inv_w2;
+  } else {
+    double object_mass = 0.0;
+    for (const auto& e : o.entries()) object_mass += e.mass;
+    double shared_o = 0.0;
+    for (const auto& e : c.entries()) {
+      const double qm = e.mass;
+      const double pm = o.MassAt(e.id);
+      if (pm == 0.0) {
+        d += w2 * qm * log_inv_w2;
+      } else {
+        const double mm = w1 * pm + w2 * qm;
+        d += w1 * pm * FreshLog2(pm) + w2 * qm * FreshLog2(qm) -
+             mm * FreshLog2(mm);
+        shared_o += pm;
+      }
+    }
+    const double o_only = object_mass - shared_o;
+    if (o_only > 0.0) d += w1 * o_only * log_inv_w1;
+  }
+  return total * (d < 0.0 ? 0.0 : d);
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+Dcf WithMass(double p, SparseDistribution cond) {
+  Dcf d;
+  d.p = p;
+  d.cond = std::move(cond);
+  return d;
+}
+
+/// Random (object, candidate) pairs on both kernel paths: supports from
+/// equal to 64x apart either way, and masses drawn from a few quantized
+/// levels so mixture masses repeat and the memo gets hits.
+std::vector<std::pair<Dcf, Dcf>> RandomPairs(std::mt19937& rng, int count) {
+  const struct {
+    size_t so, sc;
+    uint32_t universe;
+  } shapes[] = {{1, 1, 8},     {4, 4, 16},    {8, 200, 512}, {200, 8, 512},
+                {64, 64, 96},  {1, 500, 1024}, {500, 1, 1024},
+                {3, 49, 128},  {3, 47, 128},  {33, 512, 2048}};
+  std::uniform_int_distribution<int> level(1, 8);
+  std::vector<std::pair<Dcf, Dcf>> pairs;
+  for (int i = 0; i < count; ++i) {
+    const auto& shape = shapes[i % std::size(shapes)];
+    Dcf a = RandomDcf(rng, shape.so, shape.universe, level(rng) / 64.0);
+    Dcf b = RandomDcf(rng, shape.sc, shape.universe, level(rng) / 64.0);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  return pairs;
+}
+
+TEST(LossKernelMemoTest, MatchesUncachedReferenceBitForBit) {
+  std::mt19937 rng(41);
+  const auto pairs = RandomPairs(rng, 400);
+  LossKernel kernel;  // one kernel throughout: the memo fills and churns
+  size_t small_object = 0;
+  for (const auto& [a, b] : pairs) {
+    if (a.cond.SupportSize() * kAsymmetricCutoffRatio < b.cond.SupportSize()) {
+      ++small_object;
+    }
+    kernel.SetObject(a.p, a.cond);
+    EXPECT_EQ(Bits(kernel.Loss(b.p, b.cond)),
+              Bits(UncachedKernelLoss(a.p, a.cond, b.p, b.cond)))
+        << "so=" << a.cond.SupportSize() << " sc=" << b.cond.SupportSize();
+    // Arena rows carry cached logs; the result must not care.
+    DistributionArena arena;
+    const size_t ra = arena.Append(a.cond);
+    const size_t rb = arena.Append(b.cond);
+    kernel.SetObject(a.p, arena.Row(ra));
+    EXPECT_EQ(Bits(kernel.Loss(b.p, arena.Row(rb))),
+              Bits(UncachedKernelLoss(a.p, a.cond, b.p, b.cond)));
+  }
+  // Both paths were exercised.
+  EXPECT_GT(small_object, 0u);
+  EXPECT_LT(small_object, pairs.size());
+}
+
+TEST(LossKernelMemoTest, ColdKernelMatchesWarmedKernel) {
+  std::mt19937 rng(43);
+  const auto warmup = RandomPairs(rng, 300);
+  const auto pairs = RandomPairs(rng, 100);
+  LossKernel warm;
+  for (const auto& [a, b] : warmup) {
+    warm.SetObject(a.p, a.cond);
+    warm.Loss(b.p, b.cond);
+  }
+  for (const auto& [a, b] : pairs) {
+    LossKernel cold;
+    cold.SetObject(a.p, a.cond);
+    warm.SetObject(a.p, a.cond);
+    const double from_cold = cold.Loss(b.p, b.cond);
+    EXPECT_EQ(Bits(warm.Loss(b.p, b.cond)), Bits(from_cold));
+    EXPECT_EQ(Bits(from_cold),
+              Bits(UncachedKernelLoss(a.p, a.cond, b.p, b.cond)));
+  }
+}
+
+TEST(LossKernelMemoTest, MemoReturnsFreshBitsForCollidingArguments) {
+  // Two distinct arguments in one slot, looked up alternately: every
+  // lookup evicts the other, and each must still read its own log.
+  const double x = 0.3;
+  double y = 0.0;
+  for (uint64_t k = 1; y == 0.0; ++k) {
+    const double candidate = 0.3 + static_cast<double>(k) * 1e-7;
+    if (internal::Log2Memo::SlotOf(candidate) == internal::Log2Memo::SlotOf(x)) {
+      y = candidate;
+    }
+  }
+  internal::Log2Memo memo;
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(Bits(memo(x)), Bits(FreshLog2(x))) << round;
+    EXPECT_EQ(Bits(memo(y)), Bits(FreshLog2(y))) << round;
+  }
+  // 1.0 is what every slot starts keyed on.
+  EXPECT_EQ(Bits(memo(1.0)), Bits(FreshLog2(1.0)));
+  internal::Log2Memo fresh;
+  EXPECT_EQ(Bits(fresh(y)), Bits(FreshLog2(y)));
+}
+
+TEST(LossKernelMemoTest, KernelAlternatingCollidingWeightsMatchesReference) {
+  // Candidates whose weight w2 = p / (p_o + p) lands in one memo slot
+  // with a different value: alternating them makes each evaluation evict
+  // the other's log2(1/w2), which every candidate-private entry uses.
+  const Dcf object =
+      WithMass(0.25, SparseDistribution::FromPairs(
+                         {{0, 0.4}, {1, 0.3}, {2, 0.3}}));
+  std::vector<double> weights;
+  double p1 = 0.0;
+  double p2 = 0.0;
+  for (int k = 1; p2 == 0.0; ++k) {
+    const double p = k / 4096.0;
+    const double w2 = p / (object.p + p);
+    for (size_t prior = 0; prior < weights.size(); ++prior) {
+      if (internal::Log2Memo::SlotOf(weights[prior]) ==
+              internal::Log2Memo::SlotOf(w2) &&
+          weights[prior] != w2) {
+        p1 = (prior + 1) / 4096.0;
+        p2 = p;
+      }
+    }
+    weights.push_back(w2);
+  }
+  const Dcf c1 = WithMass(
+      p1, SparseDistribution::FromPairs({{0, 0.5}, {7, 0.25}, {8, 0.25}}));
+  const Dcf c2 =
+      WithMass(p2, SparseDistribution::FromPairs({{1, 0.5}, {9, 0.5}}));
+  LossKernel kernel;
+  kernel.SetObject(object.p, object.cond);
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(Bits(kernel.Loss(c1.p, c1.cond)),
+              Bits(UncachedKernelLoss(object.p, object.cond, c1.p, c1.cond)))
+        << round;
+    EXPECT_EQ(Bits(kernel.Loss(c2.p, c2.cond)),
+              Bits(UncachedKernelLoss(object.p, object.cond, c2.p, c2.cond)))
+        << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Batch vs per-pair bit-identity
 
 TEST(InformationLossBatchTest, BitIdenticalToPerPair) {
@@ -293,7 +489,7 @@ TEST(JsDivergenceGallopTest, SmallIntoHugeStaysLogarithmic) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end equivalence: batch kernel vs per-pair dispatch (satellite f)
+// End-to-end equivalence: the arena kernels vs per-pair dispatch
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
@@ -312,26 +508,33 @@ std::vector<Dcf> MixedInputs() {
 }
 
 TEST_P(KernelEquivalenceTest, AibMergeSequencesBitIdentical) {
+  // Replays AIB's merges with MergeDcf and re-evaluates each merge's δI
+  // per pair through InformationLoss, in the orientation AIB evaluates
+  // it: a pair of inputs from the matrix build with the lower id as the
+  // object, any pair holding a merged cluster from that (newer, higher-
+  // id) cluster's refresh with it as the object.
   const std::vector<Dcf> inputs = MixedInputs();
-  AibOptions batch_options;
-  batch_options.threads = GetParam();
-  batch_options.kernel = AibOptions::DistanceKernel::kBatch;
-  AibOptions pair_options = batch_options;
-  pair_options.kernel = AibOptions::DistanceKernel::kPerPair;
-  auto batch = AgglomerativeIb(inputs, batch_options);
-  auto pair = AgglomerativeIb(inputs, pair_options);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(pair.ok());
-  ASSERT_EQ(batch->merges().size(), pair->merges().size());
-  for (size_t i = 0; i < batch->merges().size(); ++i) {
-    const Merge& mb = batch->merges()[i];
-    const Merge& mp = pair->merges()[i];
-    EXPECT_EQ(mb.left, mp.left) << i;
-    EXPECT_EQ(mb.right, mp.right) << i;
-    EXPECT_EQ(mb.merged, mp.merged) << i;
-    EXPECT_EQ(mb.delta_i, mp.delta_i) << i;
-    EXPECT_EQ(mb.cumulative_loss, mp.cumulative_loss) << i;
-    EXPECT_EQ(mb.p_merged, mp.p_merged) << i;
+  AibOptions options;
+  options.threads = GetParam();
+  auto aib = AgglomerativeIb(inputs, options);
+  ASSERT_TRUE(aib.ok());
+  ASSERT_EQ(aib->merges().size(), inputs.size() - 1);
+  std::vector<Dcf> clusters = inputs;
+  double cumulative = 0.0;
+  for (size_t i = 0; i < aib->merges().size(); ++i) {
+    const Merge& m = aib->merges()[i];
+    ASSERT_LT(m.left, m.right) << i;
+    ASSERT_EQ(m.merged, clusters.size()) << i;
+    const Dcf& lo = clusters[m.left];
+    const Dcf& hi = clusters[m.right];
+    const double loss = m.right >= inputs.size() ? InformationLoss(hi, lo)
+                                                 : InformationLoss(lo, hi);
+    cumulative += loss;
+    Dcf merged = MergeDcf(lo, hi);
+    EXPECT_EQ(m.delta_i, loss) << i;
+    EXPECT_EQ(m.cumulative_loss, cumulative) << i;
+    EXPECT_EQ(m.p_merged, merged.p) << i;
+    clusters.push_back(std::move(merged));
   }
 }
 
